@@ -32,7 +32,12 @@ def bellman_profit_dp(instance: KnapsackInstance, k: int, ids=None
     taken-bit table for reconstruction.  O(n*k) time."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    w, p, ids = _arrays(instance, ids)
+    return profit_dp(*_arrays(instance, ids), k)
+
+
+def profit_dp(w: np.ndarray, p: np.ndarray, ids: np.ndarray, k: int
+              ) -> Tuple[MonotoneSeq, ProfitDPNode]:
+    """The loop behind :func:`bellman_profit_dp`, over item arrays."""
     n = len(w)
     dp = np.zeros(k + 1, dtype=np.int64)
     taken = np.zeros((n, k + 1), dtype=bool)
@@ -54,7 +59,12 @@ def bellman_weight_dp(instance: KnapsackInstance, k: int, ids=None
     where unachievable; W[0] = 0."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    w, p, ids = _arrays(instance, ids)
+    return weight_dp(*_arrays(instance, ids), k)
+
+
+def weight_dp(w: np.ndarray, p: np.ndarray, ids: np.ndarray, k: int
+              ) -> Tuple[MonotoneSeq, WeightDPNode]:
+    """The loop behind :func:`bellman_weight_dp`, over item arrays."""
     n = len(w)
     dp = np.full(k + 1, INT_INF, dtype=np.int64)
     dp[0] = 0

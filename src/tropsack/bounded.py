@@ -8,6 +8,11 @@ single-item sequences, and everything is merged back with bounded
 monotone max-plus (min-plus) convolutions.  Monte Carlo: each entry of a
 single run is correct with constant probability per color-coding round,
 boosted internally; callers can boost whole runs on top.
+
+A group whose exact 0/1 DP costs no more cells than a lower bound on its
+split (the entries of its subgroup curves plus the kernel cells of
+merging them) skips the split: all such groups share one exact DP, which
+leads the pipeline's merge.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from typing import Tuple
 
 import numpy as np
 
+from .bellman import profit_dp, weight_dp
 from .core import (INF, KnapsackInstance, MonotoneSeq, NEG_INF,
                    NON_DECREASING, SeedCtx, restrict)
 from .convolution import (maxplus_naive, minplus_naive,
@@ -83,6 +89,48 @@ def _tree_merge(parts, merge, clip, seed: SeedCtx):
         layer = nxt
         depth += 1
     return layer[0]
+
+
+def _tree_merge_cells(lengths, cap: int) -> int:
+    """Kernel cells ``_tree_merge`` spends on curves of these lengths,
+    starting at index 0 and clipped to indices <= cap after each merge."""
+    layer = list(lengths)
+    cells = 0
+    while len(layer) > 1:
+        nxt = []
+        for i in range(0, len(layer) - 1, 2):
+            cells += layer[i] * layer[i + 1]
+            nxt.append(min(layer[i] + layer[i + 1] - 1, cap + 1))
+        if len(layer) % 2:
+            nxt.append(layer[-1])
+        layer = nxt
+    return cells
+
+
+def _dp_is_cheaper(sizes, assign, sub_cap: int, cap: int) -> bool:
+    """Route rule for one group.  ``sizes`` are the items' extents along
+    the curve index (weights for profit curves, profits for weight
+    curves); ``assign`` is the group's subgroup draw; subgroup curves are
+    capped at ``sub_cap`` and merged ones at ``cap``.  A subgroup curve
+    has at least min(sub_cap, largest size) + 1 entries, so its entries
+    plus the merge cells on those lengths bound the split from below.
+    The DP over the group costs n_g * (min(cap, total size) + 1) cells."""
+    keys, inv = np.unique(assign, return_inverse=True)
+    longest = np.zeros(len(keys), dtype=np.int64)
+    np.maximum.at(longest, inv, sizes)
+    lengths = [min(sub_cap, int(m)) + 1 for m in longest]
+    split = sum(lengths) + _tree_merge_cells(lengths, cap)
+    return len(sizes) * (min(cap, int(sizes.sum())) + 1) <= split
+
+
+def _dyadic_groups(w, p):
+    """Member index arrays of the nonempty dyadic groups, in key order."""
+    groups = {}
+    for i in range(len(w)):
+        key = GroupKey(int(w[i]).bit_length(), int(p[i]).bit_length())
+        groups.setdefault(key, []).append(i)
+    return [(key, np.array(groups[key]))
+            for key in sorted(groups, key=lambda k: (k.a, k.b))]
 
 
 def _cap_max_curve(seq: MonotoneSeq, idx_hi: int, val_hi: int) -> MonotoneSeq:
@@ -174,26 +222,33 @@ def _rebase_profit(seq, tr, base, free_ids):
 
 def _bc_profit_pipeline(w, p, idarr, t, v, seed):
     clip = lambda s: _cap_max_curve(s, t, v)
-    groups = {}
-    for i in range(len(w)):
-        key = GroupKey(int(w[i]).bit_length(), int(p[i]).bit_length())
-        groups.setdefault(key, []).append(i)
     parts = []
-    for gi, (key, members) in enumerate(sorted(groups.items(),
-                                               key=lambda kv: (kv[0].a, kv[0].b))):
-        members = np.array(members)
+    exact = []
+    for gi, (key, members) in enumerate(_dyadic_groups(w, p)):
         part = _bc_profit_group(w[members], p[members], idarr[members],
                                 key, t, v, seed.child(0, gi))
-        parts.append((clip(part[0]), part[1]))
+        if part is None:
+            exact.append(members)
+        else:
+            parts.append((clip(part[0]), part[1]))
+    if exact:
+        sel = np.concatenate(exact)
+        seq, tr = profit_dp(w[sel], p[sel], idarr[sel],
+                            min(t, int(w[sel].sum())))
+        parts.insert(0, (clip(seq), tr))
     return _tree_merge(parts, merge_maxplus, clip, seed.child(1))
 
 
 def _bc_profit_group(w, p, ids, key: GroupKey, t, v, seed):
+    """The group's split, color-coded curve, or None when the exact DP
+    over it is the cheaper route (the pipeline folds it into one DP)."""
     z = max(1, min(-(-t // (1 << (key.a - 1))), -(-v // (1 << (key.b - 1)))))
     u = math.ceil(math.log2(z + 1)) + 1
     reps = math.ceil(math.log2(z + 1)) + 3
     rng = seed.generator()
     assign = rng.integers(0, z, len(w))
+    if _dp_is_cheaper(w, assign, min(t, (1 << key.a) * u), t):
+        return None
     clip = lambda s: _cap_max_curve(s, t, v)
     subs = []
     for g in np.unique(assign):
@@ -293,26 +348,33 @@ def _rebase_weight(seq, tr, base, free_ids, v):
 def _bc_weight_pipeline(w, p, idarr, v, t, seed):
     clip = lambda s: _cap_min_curve(s, v, t)
     p_max = int(p.max())
-    groups = {}
-    for i in range(len(w)):
-        key = GroupKey(int(w[i]).bit_length(), int(p[i]).bit_length())
-        groups.setdefault(key, []).append(i)
     parts = []
-    for gi, (key, members) in enumerate(sorted(groups.items(),
-                                               key=lambda kv: (kv[0].a, kv[0].b))):
-        members = np.array(members)
+    exact = []
+    for gi, (key, members) in enumerate(_dyadic_groups(w, p)):
         part = _bc_weight_group(w[members], p[members], idarr[members],
                                 key, v, t, p_max, seed.child(0, gi))
-        parts.append((clip(part[0]), part[1]))
+        if part is None:
+            exact.append(members)
+        else:
+            parts.append((clip(part[0]), part[1]))
+    if exact:
+        sel = np.concatenate(exact)
+        seq, tr = weight_dp(w[sel], p[sel], idarr[sel],
+                            min(v, int(p[sel].sum())))
+        parts.insert(0, (clip(seq), tr))
     return _tree_merge(parts, merge_minplus, clip, seed.child(1))
 
 
 def _bc_weight_group(w, p, ids, key: GroupKey, v, t, p_max, seed):
+    """The group's split, color-coded curve, or None when the exact DP
+    over it is the cheaper route (the pipeline folds it into one DP)."""
     z = max(1, min(-(-t // (1 << key.a)), -(-(v + p_max) // (1 << key.b))))
     u = math.ceil(math.log2(z + 1)) + 1
     reps = math.ceil(math.log2(z + 1)) + 3
     rng = seed.generator()
     assign = rng.integers(0, z, len(w))
+    if _dp_is_cheaper(p, assign, min(v, (1 << key.b) * u), v):
+        return None
     clip = lambda s: _cap_min_curve(s, v, t)
     subs = []
     for g in np.unique(assign):

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import time
+import zlib
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
@@ -69,7 +70,8 @@ def run_benchmark(cases, seed: SeedCtx) -> BenchSummary:
     reports = []
     for case in cases:
         t0 = time.perf_counter()
-        opt, verdict, extras = case.run(seed.child(hash(case.id) & 0xffff))
+        case_seed = seed.child(zlib.crc32(case.id.encode()))
+        opt, verdict, extras = case.run(case_seed)
         ms = (time.perf_counter() - t0) * 1000.0
         reports.append(RunReport(case.id, extras.get("n", case.size),
                                  extras.get("t", 0), extras.get("w_max", 0),

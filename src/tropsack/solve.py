@@ -35,6 +35,10 @@ class SolverFailure(RuntimeError):
 
 @dataclass
 class SolveReport:
+    """``algo`` is the algorithm picked; ``meta`` carries the medium
+    solver's own meta, whose ``algo`` names the solver that actually ran
+    (they differ when it delegates, e.g. cuberoot to t_sqrt_p)."""
+
     opt: int
     solution: Solution
     algo: str
@@ -163,6 +167,7 @@ def _medium_profit_window(sub, bsub, solver_fn, seed, reps, meta):
     offset = DUMMY_SCALE * sub.p_max if (-2 in set(inner_ids.tolist())) else 0
     res = solver_fn(mnorm.instance, seed, reps=reps, max_imbalance=None,
                     ids=inner_ids)
+    meta.update(res.meta)
     seq = res.seq
     if seq.is_empty() or seq.start > lo or seq.stop <= hi:
         return _medium_bellman_window(sub, bsub, meta)
@@ -188,6 +193,7 @@ def _medium_weight_window(sub, bsub, solver_fn, seed, reps, meta):
     offset = DUMMY_SCALE * sub.p_max if (-2 in set(inner_ids.tolist())) else 0
     res = solver_fn(mnorm.instance, seed, reps=reps, max_imbalance=None,
                     ids=inner_ids)
+    meta.update(res.meta)
     wseq = res.seq
     plo = bsub.profit_range[0] + offset
     phi = bsub.profit_range[1] + offset

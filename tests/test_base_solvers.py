@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import tropsack.bounded as bounded
 from tropsack import INF, Item, KnapsackInstance, SeedCtx
 from tropsack.bellman import (bellman_profit_dp, bellman_weight_dp,
                               greedy_upper_bound)
-from tropsack.bounded import bc_profit_bounded, bc_weight_bounded
+from tropsack.bounded import (GroupKey, bc_profit_bounded, bc_weight_bounded,
+                              _bc_profit_group, _tree_merge_cells)
 from tropsack.core import normalize, restrict
 from tropsack.harness.generators import gen_random_instance
 from tropsack.harness.oracle import brute_force_opt
-from tropsack.trace import reconstruct_items
+from tropsack.trace import (ChooseNode, ItemWitnessNode, MergeNode,
+                            ProfitDPNode, WeightDPNode, reconstruct_items)
 from tropsack.windowed import banded_profit_window, banded_weight_window
 
 
@@ -219,3 +223,105 @@ class TestBoundedWeight:
         seq, _ = bc_profit_bounded(inst, 40, big, SeedCtx(9), boost=6)
         ref, _ = bellman_profit_dp(inst, 40)
         assert seq.values == ref.values
+
+
+# ---------------------------------------------------------------------------
+# Route rule: exact DP for cheap groups, split + color coding for the rest
+
+
+def routes(trace):
+    """Which group routes fed a bounded curve: 'dp' (the folded exact DP)
+    and/or 'split' (subgroup curves built from single-item witnesses)."""
+    seen = set()
+    stack = [trace]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ProfitDPNode, WeightDPNode)):
+            seen.add("dp")
+        elif isinstance(node, ItemWitnessNode):
+            seen.add("split")
+        elif isinstance(node, MergeNode):
+            stack += [node.ltrace, node.rtrace]
+        elif isinstance(node, ChooseNode):
+            stack += [tr for _, tr in node.children]
+        elif hasattr(node, "child"):
+            stack.append(node.child)
+    return seen
+
+
+def route_instance(heavy, solo, seed):
+    """``heavy`` items in the one dyadic class w, p in [16, 31], which
+    splits whenever t, v <= 48; plus one item in each (a, b) class of
+    ``solo``, which is alone in its group and so always takes the DP."""
+    rng = np.random.default_rng(seed)
+    items = [Item(int(w), int(p)) for w, p in rng.integers(16, 32, (heavy, 2))]
+    for a, b in solo:
+        items.append(Item(int(rng.integers(1 << (a - 1), 1 << a)),
+                          int(rng.integers(1 << (b - 1), 1 << b))))
+    order = rng.permutation(len(items))
+    return KnapsackInstance([items[i] for i in order], 48)
+
+
+SOLO = st.sets(st.tuples(st.integers(1, 5), st.integers(1, 5))
+               .filter(lambda ab: ab != (5, 5)), min_size=1, max_size=10)
+KINDS = {"dp": (st.just(0), SOLO),
+         "split": (st.integers(100, 130), st.just(frozenset())),
+         "mix": (st.integers(100, 130), SOLO)}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("direction", ["profit", "weight"])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_routes_match_restricted_bellman(kind, direction, data):
+    heavy, solo = (data.draw(s) for s in KINDS[kind])
+    inst = route_instance(heavy, sorted(solo),
+                          data.draw(st.integers(0, 2 ** 32)))
+    t = data.draw(st.integers(31, 48))
+    v = data.draw(st.integers(31, 48))
+    seed = SeedCtx(data.draw(st.integers(0, 2 ** 32)))
+    if direction == "profit":
+        seq, tr = bc_profit_bounded(inst, t, v, seed, boost=boost_for(inst.n))
+        want = restrict(bellman_profit_dp(inst, t)[0], (0, t), (0, v))
+    else:
+        seq, tr = bc_weight_bounded(inst, v, t, seed, boost=boost_for(inst.n))
+        want = restrict(bellman_weight_dp(inst, v)[0], (0, v), (0, t))
+    assert routes(tr) == {"dp", "split"} if kind == "mix" else {kind}
+    assert seq.values == want.values and seq.start == want.start
+    k = seq.stop - 1
+    ids = reconstruct_items(tr, k, seq[k])
+    assert len(set(ids)) == len(ids)
+    w = sum(inst.items[i].weight for i in ids)
+    p = sum(inst.items[i].profit for i in ids)
+    if direction == "profit":
+        assert p == seq[k] and w <= k
+    else:
+        assert w == seq[k] and p >= k
+
+
+def test_merge_cell_replay_counts_the_kernel(monkeypatch):
+    # a 120-item group at t = v = 64 splits into at most 4 subgroups, so
+    # the split route wins.  Every merge tree it runs (color coding's and
+    # the group's own) clips at index 64 here; replay each on the lengths
+    # of the curves it really got
+    inst = route_instance(120, (), 5)
+    w, p = inst.weights, inst.profits
+    calls = []
+    tree_merge, kernel = bounded._tree_merge, bounded.maxplus_naive
+
+    def counting_kernel(a, b):
+        calls[-1][1] += len(a) * len(b)
+        return kernel(a, b)
+
+    def recording_tree_merge(parts, merge, clip, seed):
+        calls.append([[len(seq) for seq, _ in parts], 0])
+        return tree_merge(parts, merge, clip, seed)
+
+    monkeypatch.setattr(bounded, "maxplus_naive", counting_kernel)
+    monkeypatch.setattr(bounded, "_tree_merge", recording_tree_merge)
+    out = _bc_profit_group(w, p, np.arange(len(w)), GroupKey(5, 5), 64, 64,
+                           SeedCtx(1))
+    assert out is not None and len(calls) > 1
+    assert len(calls[-1][0]) > 2
+    for lengths, cells in calls:
+        assert _tree_merge_cells(lengths, 64) == cells

@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tropsack
 from tropsack import Item, KnapsackInstance, SeedCtx
 from tropsack.bellman import bellman_profit_dp
 from tropsack.convolution import DeadlineExceeded
@@ -224,3 +230,33 @@ class TestCli:
         path = _write_reproducer(inst, SeedCtx(9), "unit", "forced")
         assert path.exists()
         assert "seed 9" in path.read_text()
+
+    def test_bench_seed_ignores_hash_seed(self, tmp_path):
+        # child seeds must not come from hash(str), which varies per process
+        src = str(Path(tropsack.__file__).resolve().parents[1])
+        got = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(
+                           [src] + [p for p in [os.environ.get("PYTHONPATH")]
+                                    if p]))
+            out = subprocess.run(
+                [sys.executable, "-m", "tropsack", "bench", "--suite",
+                 "solvers", "--sizes", "60", "--algo", "bellman", "--seed",
+                 "5", "--json"], cwd=tmp_path, env=env, capture_output=True,
+                text=True, check=True, timeout=120).stdout
+            run = json.loads(out)["runs"][0]
+            got.append((run["digest"], run["opt"]))
+        assert got[0] == got[1]
+
+    def test_check_reproducer_records_run_seed(self, tmp_path, monkeypatch):
+        import tropsack.harness.cli as cli
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_oracle_opt", lambda inst: -1)
+        path = tmp_path / "i.txt"
+        cli_main(["gen", "--n", "8", "--seed", "2", "-o", str(path)])
+        assert cli_main(["check", str(path), "--seed", "3", "--algos",
+                         "bellman"]) == 1
+        (repro,) = (tmp_path / "failures").iterdir()
+        want = f"# seed 3 path {[zlib.crc32(b'bellman')]}"
+        assert want in repro.read_text()

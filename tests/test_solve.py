@@ -74,6 +74,16 @@ class TestSolve:
             assert rep.opt == oracle_opt(inst)
             assert rep.algo in NON_AUTO or rep.meta.get("trivial")
 
+    def test_meta_keeps_the_solver_that_ran(self):
+        # auto picks cuberoot here, which hands the instance to t_sqrt_p
+        inst = gen_balanced_instance(200, 50, 100, SeedCtx(0))
+        rep = solve(inst, algo="auto", seed=SeedCtx(1))
+        assert rep.algo == "cuberoot"
+        assert rep.meta["algo"] == "t_sqrt_p"
+        assert rep.meta["delegated_from"] == "cuberoot"
+        assert rep.meta["reps"] >= 1 and "q" in rep.meta
+        assert rep.opt == oracle_opt(inst)
+
     def test_seed_reproducibility(self):
         inst = gen_random_instance(25, 18, 18, 150, SeedCtx(77))
         a = solve(inst, algo="t_sqrt_p", seed=SeedCtx(5))
