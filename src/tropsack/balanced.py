@@ -19,11 +19,11 @@ from typing import Optional
 import numpy as np
 
 from .core import (INF, KnapsackInstance, MonotoneSeq, NEG_INF,
-                   NON_DECREASING, SeedCtx, Solution, restrict)
+                   NON_DECREASING, SeedCtx, Solution, _verified_direction,
+                   restrict)
 from .bellman import bellman_profit_dp, bellman_weight_dp, greedy_upper_bound
 from .bounded import bc_profit_bounded, bc_weight_bounded, merge_maxplus, \
     merge_minplus
-from .convolution.engine import _verified_direction
 from .trace import reconstruct_items
 from .windowed import combine_boosted, banded_profit_window, banded_weight_window
 
@@ -271,7 +271,7 @@ def _boosted_profit(instance, plan, opt_bound, seed, reps, ids, leaf_fn, meta):
                               merge_maxplus, ids))
     seq, tr = combine_boosted(runs, maximize=True)
     t_win, p_win = _final_windows(instance, opt_bound)
-    if _verified_direction(seq.values, NON_DECREASING) == "unknown":
+    if _verified_direction(seq.arr, NON_DECREASING) == "unknown":
         out = MonotoneSeq((), 0, NON_DECREASING, NEG_INF)
         meta = dict(meta, combine_nonmonotone=True)
     else:
@@ -368,7 +368,7 @@ def _boosted_weight(instance, plan, opt_bound, seed, reps, ids, leaf_fn, meta):
                               merge_minplus, ids))
     seq, tr = combine_boosted(runs, maximize=False)
     t_win, p_win = _final_windows(instance, opt_bound)
-    if _verified_direction(seq.values, NON_DECREASING) == "unknown":
+    if _verified_direction(seq.arr, NON_DECREASING) == "unknown":
         out = MonotoneSeq((), 0, NON_DECREASING, INF)
         meta = dict(meta, combine_nonmonotone=True)
     else:

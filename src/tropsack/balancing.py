@@ -20,8 +20,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import (INF, KnapsackInstance, MonotoneSeq, NEG_INF,
-                   NON_DECREASING, SeedCtx, Solution, restrict)
+from .core import (INF, INT_INF, KnapsackInstance, MonotoneSeq, NEG_INF,
+                   NON_DECREASING, SeedCtx, Solution, _finite, restrict)
 from .bellman import greedy_order
 from .bounded import bc_profit_bounded, merge_maxplus
 from .trace import EmptySetNode, reconstruct_items
@@ -97,8 +97,8 @@ def bad_curve(instance: KnapsackInstance, bad_ids, seed: SeedCtx,
     hi_w = CURVE_EXTENT * instance.w_max
     hi_p = CURVE_EXTENT * instance.p_max
     if not bad_ids:
-        seq = MonotoneSeq([0] * (hi_w + 1), 0, NON_DECREASING, NEG_INF,
-                          validate=False)
+        seq = MonotoneSeq(np.zeros(hi_w + 1, dtype=np.int64), 0,
+                          NON_DECREASING, NEG_INF, validate=False)
         return seq, EmptySetNode()
     sub = instance.subset(bad_ids)
     return bc_profit_bounded(sub, hi_w, hi_p, seed, boost=boost,
@@ -136,11 +136,9 @@ def good_complement_curve(instance: KnapsackInstance, good_ids,
     else:
         total_profit = sum(instance.items[i].profit for i in good_ids)
     extent = CURVE_EXTENT * max(instance.w_max, 1)
-    vals = []
-    for t2 in range(0, extent + 1):
-        g = hi - t2
-        v = seq[g] if g >= 0 else NEG_INF
-        vals.append(INF if v == NEG_INF else total_profit - v)
+    kept = seq.window(hi - extent, hi)[::-1]  # P_G[hi - t''] for t'' = 0..
+    kept[hi + 1:] = -INT_INF  # kept weights below 0
+    vals = np.where(_finite(kept), total_profit - kept, -kept)
     return MonotoneSeq(vals, 0, NON_DECREASING, INF, validate=False)
 
 
@@ -187,15 +185,14 @@ def combine_balanced(medium_curve, sub: BalancedSubproblem,
     if total_seq.is_empty() or total_seq.start > instance.capacity:
         return 0, Solution.from_indices(instance, [])
     k = min(instance.capacity, total_seq.stop - 1)
-    best, best_k = None, None
     # the merged curve need not be monotone at window seams; scan the
-    # (short) result for the best finite entry within capacity
-    for j in range(total_seq.start, k + 1):
-        v = total_seq[j]
-        if v != NEG_INF and v != INF and (best is None or v > best):
-            best, best_k = v, j
-    if best is None:
+    # (short) result for the first best finite entry within capacity
+    vals = total_seq.arr[:k + 1 - total_seq.start]
+    finite = np.flatnonzero(_finite(vals))
+    if not len(finite):
         return 0, Solution.from_indices(instance, [])
-    ids = [i for i in reconstruct_items(total_tr, best_k, best)
+    j = int(finite[np.argmax(vals[finite])])
+    best = int(vals[j])
+    ids = [i for i in reconstruct_items(total_tr, total_seq.start + j, best)
            if not instance.items[i].internal]
-    return int(best), Solution.from_indices(instance, ids)
+    return best, Solution.from_indices(instance, ids)

@@ -12,9 +12,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import (INF, KnapsackInstance, MonotoneSeq, NEG_INF,
+from .core import (INF, INT_INF, KnapsackInstance, MonotoneSeq, NEG_INF,
                    NON_DECREASING)
-from .convolution.naive import INT_INF
 from .trace import ProfitDPNode, WeightDPNode
 
 
@@ -49,7 +48,7 @@ def profit_dp(w: np.ndarray, p: np.ndarray, ids: np.ndarray, k: int
         np.maximum(new[wi:], dp[:k + 1 - wi] + pi, out=new[wi:])
         taken[i] = new != dp
         dp = new
-    seq = MonotoneSeq(dp.tolist(), 0, NON_DECREASING, NEG_INF, validate=False)
+    seq = MonotoneSeq(dp, 0, NON_DECREASING, NEG_INF, validate=False)
     return seq, ProfitDPNode(w, p, ids, taken)
 
 
@@ -79,8 +78,7 @@ def weight_dp(w: np.ndarray, p: np.ndarray, ids: np.ndarray, k: int
         new = np.minimum(dp, shifted + wi)
         taken[i] = new != dp
         dp = new
-    vals = [int(v) if v < INT_INF else INF for v in dp]
-    seq = MonotoneSeq(vals, 0, NON_DECREASING, INF, validate=False)
+    seq = MonotoneSeq(dp, 0, NON_DECREASING, INF, validate=False)
     return seq, WeightDPNode(w, p, ids, taken)
 
 

@@ -24,8 +24,8 @@ from typing import Tuple
 import numpy as np
 
 from .bellman import profit_dp, weight_dp
-from .core import (INF, KnapsackInstance, MonotoneSeq, NEG_INF,
-                   NON_DECREASING, SeedCtx, restrict)
+from .core import (INF, INT_INF, KnapsackInstance, MonotoneSeq, NEG_INF,
+                   NON_DECREASING, SeedCtx, _finite, restrict)
 from .convolution import (maxplus_naive, minplus_naive,
                           monotone_maxplus_rect, monotone_minplus_rect)
 from .trace import (ConstItemsNode, EmptySetNode, FreeItemsProfitNode,
@@ -41,37 +41,32 @@ class GroupKey:
     b: int
 
 
-def _finite_max(seq: MonotoneSeq) -> int:
-    best = 0
-    for v in seq.values:
-        if v != INF and v != NEG_INF and v > best:
-            best = v
-    return int(best)
-
-
 _NAIVE_MERGE_CUTOFF = 1 << 21
 
 
-def merge_maxplus(left, right, seed: SeedCtx):
+def _merge(left, right, seed: SeedCtx, op: str):
+    """Tropical merge of two witnessed curves: the quadratic kernel for
+    small products, else the engine with M = the largest finite entry."""
     lseq, ltr = left
     rseq, rtr = right
     if len(lseq) * len(rseq) <= _NAIVE_MERGE_CUTOFF:
-        seq = maxplus_naive(lseq, rseq)
+        naive = maxplus_naive if op == "max" else minplus_naive
+        seq = naive(lseq, rseq)
     else:
-        m = max(_finite_max(lseq), _finite_max(rseq), 1)
-        seq = monotone_maxplus_rect(lseq, rseq, m, seed)
-    return seq, MergeNode("max", lseq, ltr, rseq, rtr)
+        both = np.concatenate([lseq.arr, rseq.arr])
+        m = max(int(both[_finite(both)].max(initial=0)), 1)
+        engine = monotone_maxplus_rect if op == "max" else \
+            monotone_minplus_rect
+        seq = engine(lseq, rseq, m, seed)
+    return seq, MergeNode(op, lseq, ltr, rseq, rtr)
+
+
+def merge_maxplus(left, right, seed: SeedCtx):
+    return _merge(left, right, seed, "max")
 
 
 def merge_minplus(left, right, seed: SeedCtx):
-    lseq, ltr = left
-    rseq, rtr = right
-    if len(lseq) * len(rseq) <= _NAIVE_MERGE_CUTOFF:
-        seq = minplus_naive(lseq, rseq)
-    else:
-        m = max(_finite_max(lseq), _finite_max(rseq), 1)
-        seq = monotone_minplus_rect(lseq, rseq, m, seed)
-    return seq, MergeNode("min", lseq, ltr, rseq, rtr)
+    return _merge(left, right, seed, "min")
 
 
 def _tree_merge(parts, merge, clip, seed: SeedCtx):
@@ -139,23 +134,24 @@ def _cap_max_curve(seq: MonotoneSeq, idx_hi: int, val_hi: int) -> MonotoneSeq:
     same index window, so entrywise boosting stays monotone, while the
     +1 marker survives max-plus merges and marks entries beyond the cap.
     """
-    hi = min(seq.stop, idx_hi + 1) - seq.start
-    vals = tuple(v if v == INF or v == NEG_INF or v <= val_hi else val_hi + 1
-                 for v in seq.values[:hi])
-    return MonotoneSeq.unsafe(vals, seq.start, seq.direction, seq.sentinel)
+    vals = seq.arr[:min(seq.stop, idx_hi + 1) - seq.start]
+    vals = np.where((vals > val_hi) & (vals != INT_INF), val_hi + 1, vals)
+    return MonotoneSeq(vals, seq.start, seq.direction, seq.sentinel,
+                       validate=False)
 
 
 _cap_min_curve = _cap_max_curve
 
 
 def _zero_profit_curve(hi: int):
-    seq = MonotoneSeq([0] * (hi + 1), 0, NON_DECREASING, NEG_INF,
-                      validate=False)
+    seq = MonotoneSeq(np.zeros(hi + 1, dtype=np.int64), 0, NON_DECREASING,
+                      NEG_INF, validate=False)
     return seq, EmptySetNode()
 
 
 def _zero_weight_curve(hi: int):
-    vals = [0] + [INF] * hi
+    vals = np.full(hi + 1, INT_INF, dtype=np.int64)
+    vals[0] = 0
     seq = MonotoneSeq(vals, 0, NON_DECREASING, INF, validate=False)
     return seq, EmptySetNode()
 
@@ -179,10 +175,10 @@ def bc_profit_bounded(instance: KnapsackInstance, t: int, v: int,
     if seq.stop <= hi and len(seq):
         # budget curves stay constant once every item is in; pad so the
         # reported window matches the full index range
-        pad = [seq.values[-1]] * (hi + 1 - seq.stop)
+        pad = np.full(hi + 1 - seq.stop, seq.arr[-1])
         tr = PadNode(seq.stop, tr)
-        seq = MonotoneSeq(seq.values + tuple(pad), seq.start, seq.direction,
-                          seq.sentinel, validate=False)
+        seq = MonotoneSeq(np.concatenate([seq.arr, pad]), seq.start,
+                          seq.direction, seq.sentinel, validate=False)
     return restrict(seq, (0, hi), (0, v)), tr
 
 
@@ -214,9 +210,9 @@ def _bc_profit_once(instance, t, v, seed, ids):
 def _rebase_profit(seq, tr, base, free_ids):
     if base == 0:
         return seq, tr
-    vals = tuple(x if x == INF or x == NEG_INF else x + base
-                 for x in seq.values)
-    out = MonotoneSeq.unsafe(vals, seq.start, seq.direction, seq.sentinel)
+    vals = np.where(_finite(seq.arr), seq.arr + base, seq.arr)
+    out = MonotoneSeq(vals, seq.start, seq.direction, seq.sentinel,
+                      validate=False)
     return out, FreeItemsProfitNode(base, free_ids, tr)
 
 
@@ -286,23 +282,35 @@ def _color_coded_profit(w, p, ids, u, reps, idx_cap, val_cap, seed):
 
 
 def _best_single_profit(w, p, ids, idx_cap):
-    """P^1: best single item (or nothing) per weight budget."""
+    """P^1: best single item (or nothing) per weight budget.  Ties go to
+    the earlier item at one weight and to the lighter item across
+    weights."""
     hi = int(min(idx_cap, w.max(initial=0)))
-    vals = np.zeros(hi + 1, dtype=np.int64)
-    wit = np.full(hi + 1, -1, dtype=np.int64)
-    for i in range(len(w)):
-        if w[i] <= hi and p[i] > vals[w[i]]:
-            vals[w[i]] = int(p[i])
-            wit[w[i]] = ids[i]
-    for j in range(1, hi + 1):  # running max; ties keep the lighter item
-        if vals[j - 1] > vals[j]:
-            vals[j] = vals[j - 1]
-            wit[j] = wit[j - 1]
-        elif vals[j - 1] == vals[j] and wit[j - 1] >= 0:
-            wit[j] = wit[j - 1]
-    seq = MonotoneSeq(vals.tolist(), 0, NON_DECREASING, NEG_INF,
-                      validate=False)
+    vals, wit = _best_per_index(w, p, ids, hi, maximize=True)
+    # running max: each budget takes the lightest weight at its maximum
+    new = vals > np.concatenate([[0], np.maximum.accumulate(vals)[:-1]])
+    first = np.maximum.accumulate(np.where(new, np.arange(hi + 1), -1))
+    wit = np.where(first >= 0, wit[first], -1)
+    seq = MonotoneSeq(np.maximum.accumulate(vals), 0, NON_DECREASING,
+                      NEG_INF, validate=False)
     return seq, ItemWitnessNode(0, wit)
+
+
+def _best_per_index(key, val, ids, hi, maximize):
+    """Per index j in 0..hi, the best ``val`` (largest for ``maximize``,
+    else smallest) among items with ``key`` == j, the earliest item on
+    ties, with its id; 0 (or INT_INF) and -1 where no item improves on
+    that."""
+    vals = np.full(hi + 1, 0 if maximize else INT_INF, dtype=np.int64)
+    wit = np.full(hi + 1, -1, dtype=np.int64)
+    sel = (key <= hi) & ((val > 0) if maximize else (val < INT_INF))
+    key, val, ids = key[sel], val[sel], ids[sel]
+    order = np.lexsort((-val if maximize else val, key))  # stable
+    key = key[order]
+    head = np.flatnonzero(np.diff(key, prepend=-1))
+    vals[key[head]] = val[order][head]
+    wit[key[head]] = ids[order][head]
+    return vals, wit
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +348,7 @@ def _rebase_weight(seq, tr, base, free_ids, v):
     if base == 0:
         return seq, tr
     # free profit shifts the index axis right and zero-fills the prefix
-    vals = [0] * (base + 1) + list(seq.values[1:])
+    vals = np.concatenate([np.zeros(base + 1, dtype=np.int64), seq.arr[1:]])
     out = MonotoneSeq(vals[:v + 1], 0, NON_DECREASING, INF, validate=False)
     return out, FreeItemsWeightNode(base, free_ids, tr)
 
@@ -411,21 +419,20 @@ def _color_coded_weight(w, p, ids, u, reps, idx_cap, val_cap, seed):
 
 
 def _best_single_weight(w, p, ids, idx_cap):
-    """W^1: lightest single item achieving profit >= j, per j."""
+    """W^1: lightest single item achieving profit >= j, per j.  Ties go
+    to the earlier item at one profit and to the smaller profit across
+    profits."""
     hi = int(min(idx_cap, p.max(initial=0)))
-    vals = np.full(hi + 1, 1 << 61, dtype=np.int64)
-    wit = np.full(hi + 1, -1, dtype=np.int64)
-    for i in range(len(w)):
-        j = int(min(p[i], hi))
-        if w[i] < vals[j]:
-            vals[j] = int(w[i])
-            wit[j] = ids[i]
-    for j in range(hi - 1, 0, -1):  # suffix min: profit >= j gets easier
-        if vals[j + 1] < vals[j]:
-            vals[j] = vals[j + 1]
-            wit[j] = wit[j + 1]
+    vals, wit = _best_per_index(np.minimum(p, hi), w, ids, hi,
+                                maximize=False)
+    # suffix min over 1..hi: profit >= j gets easier; ties keep the
+    # smaller profit
+    rev = vals[:0:-1]
+    new = rev <= np.concatenate([[INT_INF], np.minimum.accumulate(rev)[:-1]])
+    first = np.maximum.accumulate(np.where(new, np.arange(hi), 0))
+    vals[1:] = np.minimum.accumulate(rev)[::-1]
+    wit[1:] = wit[:0:-1][first][::-1]
     vals[0] = 0
     wit[0] = -1
-    out = [0] + [int(x) if x < (1 << 61) else INF for x in vals[1:]]
-    seq = MonotoneSeq(out, 0, NON_DECREASING, INF, validate=False)
+    seq = MonotoneSeq(vals, 0, NON_DECREASING, INF, validate=False)
     return seq, ItemWitnessNode(0, wit)

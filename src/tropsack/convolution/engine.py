@@ -25,11 +25,11 @@ from typing import Optional
 
 import numpy as np
 
-from ..core import (INF, MonotoneSeq, NON_DECREASING, NON_INCREASING, SeedCtx,
-                    SeqError, UNKNOWN, empty_seq)
+from ..core import (INF, INT_INF, MonotoneSeq, NEG_INF, NON_DECREASING,
+                    NON_INCREASING, SeedCtx, SeqError, UNKNOWN, _finite,
+                    _saturate, _verified_direction, empty_seq, negate_shift)
 from .exactpoly import exact_convolve
-from .naive import INT_INF, _as_arrays, _from_array, _saturate, \
-    minplus_naive, minplus_counting_fft
+from .naive import _operand, minplus_naive, minplus_counting_fft
 from .segtree import ChminSegmentTree
 
 ALPHA = 0.5  # residue prime is ~ M**ALPHA; fixed, not configurable
@@ -42,7 +42,6 @@ B_RANGE = 11
 _E_OFFS = np.arange(-2 * B_RANGE + 2, 2 * B_RANGE + 1)  # e - 2*C_prev in [-20, 22]
 
 RECORD_CAP = 30_000_000  # safety valve; exceeded -> retry with a new prime
-_DENSE_MASS = 1 << 22    # below this, per-k construction beats run pairs
 
 
 class DeadlineExceeded(RuntimeError):
@@ -140,8 +139,8 @@ def _count_inf_runs(arr: np.ndarray) -> int:
 
 def residue_split(a: MonotoneSeq, b: MonotoneSeq, p: int):
     """The nine cross pairs (A^x - ceil(xp/3), B^y - ceil(yp/3))."""
-    arr_a, sa = _as_arrays(a, INF)
-    arr_b, sb = _as_arrays(b, INF)
+    a, b = _operand(a), _operand(b)
+    arr_a, arr_b = a.arr, b.arr
     a_classes = _class_split_array(arr_a, p)
     b_classes = _class_split_array(arr_b, p)
     fins = np.concatenate([arr_a[arr_a < INT_INF], arr_b[arr_b < INT_INF]])
@@ -151,8 +150,10 @@ def residue_split(a: MonotoneSeq, b: MonotoneSeq, p: int):
     for x in range(3):
         for y in range(3):
             sh = (-(-x * p // 3)) + (-(-y * p // 3))
-            seq_a = _from_array(a_classes[x], sa, UNKNOWN, INF)
-            seq_b = _from_array(b_classes[y], sb, UNKNOWN, INF)
+            seq_a = MonotoneSeq(a_classes[x], a.start, UNKNOWN, INF,
+                                validate=False)
+            seq_b = MonotoneSeq(b_classes[y], b.start, UNKNOWN, INF,
+                                validate=False)
             assert _count_inf_runs(a_classes[x]) <= run_cap, "infinity-run bound violated"
             assert _count_inf_runs(b_classes[y]) <= run_cap, "infinity-run bound violated"
             pairs.append(ResidueClassPair(seq_a, seq_b, sh, x, y))
@@ -180,12 +181,11 @@ def _finite_runs(vals: np.ndarray, fin: np.ndarray):
 
 def tilde_convolution(a, b) -> MonotoneSeq:
     """Min-plus of step sequences via range-chmin updates over run pairs."""
-    arr_a, sa = _as_arrays(a, INF)
-    arr_b, sb = _as_arrays(b, INF)
-    if len(arr_a) == 0 or len(arr_b) == 0:
+    a, b = _operand(a), _operand(b)
+    if a.is_empty() or b.is_empty():
         return empty_seq(UNKNOWN, INF)
-    out = _tilde_array(arr_a, arr_b)
-    return _from_array(out, sa + sb, UNKNOWN, INF)
+    return MonotoneSeq(_saturate(_tilde_array(a.arr, b.arr)),
+                       a.start + b.start, UNKNOWN, INF, validate=False)
 
 
 def _tilde_array(arr_a: np.ndarray, arr_b: np.ndarray) -> np.ndarray:
@@ -200,18 +200,6 @@ def _tilde_array(arr_a: np.ndarray, arr_b: np.ndarray) -> np.ndarray:
         for j in range(len(rbs)):
             tree.range_chmin(int(lo[j]), int(hi[j]), int(val[j]))
     return tree.read_all()
-
-
-def _minplus_dense(arr_a: np.ndarray, arr_b: np.ndarray) -> np.ndarray:
-    """Quadratic min-plus on raw int64 arrays with INT_INF sentinels."""
-    n, m = len(arr_a), len(arr_b)
-    out = np.full(n + m - 1, INT_INF, dtype=np.int64)
-    if n < m:
-        arr_a, arr_b, n, m = arr_b, arr_a, m, n
-    for j in range(m):
-        s = _saturate(arr_a + arr_b[j])
-        np.minimum(out[j:j + n], s, out=out[j:j + n])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -333,48 +321,6 @@ def _initial_records_runpairs(atil, btil, fa, fb, ctil) -> _Records:
             cols[3].append(np.full(m, rbe[j]))
             cols[4].append(st + w1)
             cols[5].append(en + w1)
-    if not cols[0]:
-        return _Records.empty()
-    return _Records(*(np.concatenate(c).astype(np.int64) for c in cols))
-
-
-def _initial_records_dense(atil, btil, fa, fb, ctil,
-                           runA, runB) -> _Records:
-    """Per-k construction for small inputs: walk each output diagonal."""
-    na, nb = len(atil), len(btil)
-    nc = na + nb - 1
-    cols = [[] for _ in range(6)]
-    for k in range(nc):
-        ilo = max(0, k - nb + 1)
-        ihi = min(na - 1, k)
-        i = np.arange(ilo, ihi + 1)
-        j = k - i
-        ok = fa[i] & fb[j]
-        if not ok.any():
-            continue
-        false = ok & (atil[i] + btil[j] != ctil[k])
-        if not false.any():
-            continue
-        ra = runA[i]
-        rb = runB[j]
-        # boundaries where the run pair changes or falseness toggles
-        key_chg = np.empty(len(i), dtype=bool)
-        key_chg[0] = True
-        key_chg[1:] = (ra[1:] != ra[:-1]) | (rb[1:] != rb[:-1]) | \
-            (false[1:] != false[:-1])
-        seg_starts = np.flatnonzero(key_chg)
-        seg_ends = np.append(seg_starts[1:] - 1, len(i) - 1)
-        keep = false[seg_starts]
-        seg_starts, seg_ends = seg_starts[keep], seg_ends[keep]
-        if seg_starts.size == 0:
-            continue
-        m = seg_starts.size
-        cols[0].append(i[seg_starts])
-        cols[1].append(i[seg_ends])
-        cols[2].append(j[seg_ends])
-        cols[3].append(j[seg_starts])
-        cols[4].append(np.full(m, k))
-        cols[5].append(np.full(m, k))
     if not cols[0]:
         return _Records.empty()
     return _Records(*(np.concatenate(c).astype(np.int64) for c in cols))
@@ -516,20 +462,12 @@ def _pair_minplus(arr_a, arr_b, p: int, debug: bool, trace: Optional[PairTrace],
     bmod = np.where(fb, arr_b % p, 0)
     btil = np.where(fb, arr_b // p, INT_INF)
 
-    if na * nb <= _DENSE_MASS:
-        ctil = _minplus_dense(atil, btil)
-    else:
-        ctil = _tilde_array(atil, btil)
+    ctil = _tilde_array(atil, btil)
     if trace is not None:
         trace.c_tilde = ctil.copy()
 
     h = p.bit_length()  # 2**(h-1) <= p < 2**h
-    runA_h = _run_start_index(atil, fa)
-    runB_h = _run_start_index(btil, fb)
-    if na * nb <= _DENSE_MASS:
-        records = _initial_records_dense(atil, btil, fa, fb, ctil, runA_h, runB_h)
-    else:
-        records = _initial_records_runpairs(atil, btil, fa, fb, ctil)
+    records = _initial_records_runpairs(atil, btil, fa, fb, ctil)
 
     c_prev = np.zeros(nc, dtype=np.int64)  # C^(h) is the zero sequence
     if debug and trace is not None:
@@ -623,7 +561,7 @@ def _validate_monotone_pair(a: MonotoneSeq, b: MonotoneSeq, m: int):
     if UNKNOWN in dirs:
         # constant/singleton sequences may be tagged unknown
         for s in (a, b):
-            if s.direction == UNKNOWN and len(set(v for v in s.values)) > 1:
+            if s.direction == UNKNOWN and (s.arr != s.arr[:1]).any():
                 raise SeqError("inputs must be monotone with a declared direction")
         direction = (dirs - {UNKNOWN}).pop() if dirs - {UNKNOWN} else NON_DECREASING
     elif len(dirs) == 1:
@@ -631,11 +569,9 @@ def _validate_monotone_pair(a: MonotoneSeq, b: MonotoneSeq, m: int):
     else:
         raise SeqError("inputs must share a monotone direction")
     for s in (a, b):
-        for v in s.values:
-            if v == INF or v == float("-inf"):
-                continue
-            if v < 0 or v > m:
-                raise SeqError(f"entry {v} outside [0, {m}]")
+        bad = _finite(s.arr) & ((s.arr < 0) | (s.arr > m))
+        if bad.any():
+            raise SeqError(f"entry {s.arr[bad][0]} outside [0, {m}]")
     return direction
 
 
@@ -681,8 +617,7 @@ def monotone_minplus_rect(a: MonotoneSeq, b: MonotoneSeq, m: int,
     if a.is_empty() or b.is_empty():
         out = empty_seq(direction, INF)
         return (out, EngineTrace(0, m)) if debug else out
-    arr_a, _ = _as_arrays(a, INF)
-    arr_b, _ = _as_arrays(b, INF)
+    arr_a, arr_b = _operand(a).arr, _operand(b).arr
     na, nb = len(arr_a), len(arr_b)
 
     if method == "auto":
@@ -701,70 +636,44 @@ def monotone_minplus_rect(a: MonotoneSeq, b: MonotoneSeq, m: int,
 
     trace = None
     if method == "naive":
-        out = minplus_naive(a, b)
+        out = minplus_naive(a, b).arr
     elif method == "counting":
-        out = minplus_counting_fft(a, b, m)
+        out = minplus_counting_fft(a, b, m).arr
     elif method == "levels":
         rev = direction == NON_INCREASING
-        wa, wb = (arr_a[::-1].copy(), arr_b[::-1].copy()) if rev else (arr_a, arr_b)
+        wa, wb = (arr_a[::-1], arr_b[::-1]) if rev else (arr_a, arr_b)
         total, trace = _minplus_levels(wa, wb, m, seed, debug, deadline)
         if total is None:
-            out = minplus_naive(a, b)
+            out = minplus_naive(a, b).arr
         else:
-            if rev:
-                total = total[::-1]
-            out = _from_array(total, a.start + b.start, direction, INF)
+            out = total[::-1] if rev else total
     else:
         raise ValueError(f"unknown method {method!r}")
-    out = MonotoneSeq.unsafe(out.values, a.start + b.start,
-                             _verified_direction(out.values, direction), INF)
+    out = MonotoneSeq(out, a.start + b.start,
+                      _verified_direction(out, direction), INF,
+                      validate=False)
     if debug:
         return out, trace or EngineTrace(0, m, fallback=method)
     return out
-
-
-def _verified_direction(values, claimed: str) -> str:
-    """Keep the claimed direction only if the finite entries satisfy it.
-
-    Inputs with infinity holes can produce non-monotone outputs; a lying
-    tag would corrupt later binary searches.
-    """
-    finite = [v for v in values if v != INF and v != float("-inf")]
-    if claimed == NON_DECREASING:
-        ok = all(x <= y for x, y in zip(finite, finite[1:]))
-    elif claimed == NON_INCREASING:
-        ok = all(x >= y for x, y in zip(finite, finite[1:]))
-    else:
-        return UNKNOWN
-    return claimed if ok else UNKNOWN
 
 
 def monotone_maxplus_rect(a: MonotoneSeq, b: MonotoneSeq, m: int,
                           seed: SeedCtx, method: str = "auto",
                           debug: bool = False, deadline: float = None):
     """Max-plus via the reflection v -> m - v around the value range."""
-    from ..core import negate_shift
-
     direction = _validate_monotone_pair(a, b, m)
-    na = negate_shift(MonotoneSeq.unsafe(a.values, a.start, direction,
-                                         a.sentinel), m)
-    nb = negate_shift(MonotoneSeq.unsafe(b.values, b.start, direction,
-                                         b.sentinel), m)
+    na = negate_shift(MonotoneSeq(a.arr, a.start, direction, a.sentinel,
+                                  validate=False), m)
+    nb = negate_shift(MonotoneSeq(b.arr, b.start, direction, b.sentinel,
+                                  validate=False), m)
     res = monotone_minplus_rect(na, nb, m, seed, method=method, debug=debug,
                                 deadline=deadline)
     if debug:
         res, trace = res
-    out_vals = []
-    for v in res.values:
-        if v == INF:
-            out_vals.append(float("-inf"))
-        elif v == float("-inf"):
-            out_vals.append(INF)
-        else:
-            out_vals.append(2 * m - v)
-    out = MonotoneSeq.unsafe(tuple(out_vals), res.start,
-                             _verified_direction(out_vals, direction),
-                             float("-inf"))
+    out_arr = np.where(_finite(res.arr), 2 * m - res.arr, -res.arr)
+    out = MonotoneSeq(out_arr, res.start,
+                      _verified_direction(out_arr, direction), NEG_INF,
+                      validate=False)
     if debug:
         return out, trace
     return out

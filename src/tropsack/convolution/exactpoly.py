@@ -25,8 +25,10 @@ _EPS = np.finfo(np.float64).eps
 
 
 def _norm2(a: np.ndarray) -> float:
+    # einsum, not np.dot: a BLAS call would start OpenBLAS's thread pool,
+    # which then spins on idle cores
     x = a.astype(np.float64)
-    return float(np.sqrt(np.dot(x, x)))
+    return float(np.sqrt(np.einsum("i,i->", x, x)))
 
 
 def _fft_certified(a: np.ndarray, b: np.ndarray, out_len: int):

@@ -1,4 +1,4 @@
-"""Quadratic tropical convolution baselines and the small-range FFT method.
+"""The quadratic tropical kernel and the small-range FFT method.
 
 These are the definitional oracles everything faster is checked against.
 """
@@ -7,100 +7,65 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import (INF, NEG_INF, MonotoneSeq, NON_DECREASING,
-                    NON_INCREASING, UNKNOWN, check_value)
-
-# int64 sentinels; finite payloads entering tropical ops are capped at
-# 2**59 so a sentinel plus any finite value stays beyond the saturation
-# threshold and two sentinels stay below 2**63.
-INT_INF = 1 << 61
-_SAT = 1 << 60
-_OP_LIMIT = 1 << 59
+from ..core import (INF, INT_INF, NEG_INF, MonotoneSeq, NON_DECREASING,
+                    NON_INCREASING, UNKNOWN, _OP_LIMIT, _finite, _saturate,
+                    empty_seq)
 
 
-def _saturate(s: np.ndarray) -> np.ndarray:
-    """Collapse any sentinel-contaminated sum back onto the sentinels."""
-    s[s >= _SAT] = INT_INF
-    s[s <= -_SAT] = -INT_INF
-    return s
+def tropical_kernel(a: np.ndarray, b: np.ndarray, maximize: bool
+                    ) -> np.ndarray:
+    """C[k] = max (or min) over i+j=k of a[i]+b[j] on encoded arrays,
+    O(|a||b|); sums touching a sentinel saturate onto it."""
+    n, m = len(a), len(b)
+    out = np.full(n + m - 1, -INT_INF if maximize else INT_INF,
+                  dtype=np.int64)
+    if n < m:
+        a, b, n, m = b, a, m, n
+    fold = np.maximum if maximize else np.minimum
+    row = np.empty(n, dtype=np.int64)
+    for j in range(m):
+        np.add(a, b[j], out=row)
+        fold(out[j:j + n], row, out=out[j:j + n])
+    # saturation is monotone, so it commutes with the fold; sums of two
+    # sentinels stay inside int64
+    return _saturate(out)
 
 
-def _as_arrays(a, default_sentinel=None):
-    if isinstance(a, MonotoneSeq):
-        arr, start = a.to_array(INT_INF), a.start
-    else:
-        vals = [check_value(v) for v in a]
-        arr = np.empty(len(vals), dtype=np.int64)
-        for i, v in enumerate(vals):
-            arr[i] = INT_INF if v == INF else (-INT_INF if v == NEG_INF else v)
-        start = 0
-    fin = np.abs(arr) < INT_INF
-    if fin.any() and int(np.abs(arr[fin]).max()) >= _OP_LIMIT:
+def _operand(x) -> MonotoneSeq:
+    """``x`` as a sequence whose finite entries fit tropical sums."""
+    seq = x if isinstance(x, MonotoneSeq) else MonotoneSeq(x)
+    big = (seq.arr >= _OP_LIMIT) | (seq.arr <= -_OP_LIMIT)
+    if (big & _finite(seq.arr)).any():
         raise OverflowError("entries too large for tropical convolution")
-    return arr, start
+    return seq
 
 
-def _from_array(arr, start, direction, sentinel):
-    vals = arr.tolist()
-    for i in np.flatnonzero(arr >= INT_INF):
-        vals[i] = INF
-    for i in np.flatnonzero(arr <= -INT_INF):
-        vals[i] = NEG_INF
-    return MonotoneSeq.unsafe(tuple(vals), start, direction, sentinel)
-
-
-def _conv_direction(a, b, kind):
-    da = a.direction if isinstance(a, MonotoneSeq) else UNKNOWN
-    db = b.direction if isinstance(b, MonotoneSeq) else UNKNOWN
-    if da == db and da in (NON_DECREASING, NON_INCREASING):
-        return da
+def _conv_direction(a: MonotoneSeq, b: MonotoneSeq) -> str:
+    if a.direction == b.direction and \
+            a.direction in (NON_DECREASING, NON_INCREASING):
+        return a.direction
     return UNKNOWN
+
+
+def _naive(a, b, maximize: bool) -> MonotoneSeq:
+    a, b = _operand(a), _operand(b)
+    direction = _conv_direction(a, b)
+    sentinel = NEG_INF if maximize else INF
+    if a.is_empty() or b.is_empty():
+        return empty_seq(direction, sentinel)
+    return MonotoneSeq(tropical_kernel(a.arr, b.arr, maximize),
+                       a.start + b.start, direction, sentinel,
+                       validate=False)
 
 
 def minplus_naive(a, b) -> MonotoneSeq:
     """C[k] = min_{i+j=k} A[i]+B[j] over in-bounds pairs, O(|A||B|)."""
-    arr_a, sa = _as_arrays(a, INF)
-    arr_b, sb = _as_arrays(b, INF)
-    if len(arr_a) == 0 or len(arr_b) == 0:
-        from ..core import empty_seq
-        return empty_seq(_conv_direction(a, b, "min"), INF)
-    n, m = len(arr_a), len(arr_b)
-    out = np.full(n + m - 1, INT_INF, dtype=np.int64)
-    if n < m:
-        arr_a, arr_b, n, m = arr_b, arr_a, m, n
-    clean = not (np.abs(arr_a) >= INT_INF).any() and \
-        not (np.abs(arr_b) >= INT_INF).any()
-    if clean:
-        for j in range(m):
-            np.minimum(out[j:j + n], arr_a + arr_b[j], out=out[j:j + n])
-    else:
-        for j in range(m):
-            s = _saturate(arr_a + arr_b[j])
-            np.minimum(out[j:j + n], s, out=out[j:j + n])
-    return _from_array(out, sa + sb, _conv_direction(a, b, "min"), INF)
+    return _naive(a, b, maximize=False)
 
 
 def maxplus_naive(a, b) -> MonotoneSeq:
     """C[k] = max_{i+j=k} A[i]+B[j]; equals -minplus(-A,-B) exactly."""
-    arr_a, sa = _as_arrays(a, NEG_INF)
-    arr_b, sb = _as_arrays(b, NEG_INF)
-    if len(arr_a) == 0 or len(arr_b) == 0:
-        from ..core import empty_seq
-        return empty_seq(_conv_direction(a, b, "max"), NEG_INF)
-    n, m = len(arr_a), len(arr_b)
-    out = np.full(n + m - 1, -INT_INF, dtype=np.int64)
-    if n < m:
-        arr_a, arr_b, n, m = arr_b, arr_a, m, n
-    clean = not (np.abs(arr_a) >= INT_INF).any() and \
-        not (np.abs(arr_b) >= INT_INF).any()
-    if clean:
-        for j in range(m):
-            np.maximum(out[j:j + n], arr_a + arr_b[j], out=out[j:j + n])
-    else:
-        for j in range(m):
-            s = _saturate(arr_a + arr_b[j])
-            np.maximum(out[j:j + n], s, out=out[j:j + n])
-    return _from_array(out, sa + sb, _conv_direction(a, b, "max"), NEG_INF)
+    return _naive(a, b, maximize=True)
 
 
 def minplus_counting_fft(a, b, m: int) -> MonotoneSeq:
@@ -110,11 +75,11 @@ def minplus_counting_fft(a, b, m: int) -> MonotoneSeq:
     """
     from .exactpoly import exact_convolve
 
-    arr_a, sa = _as_arrays(a, INF)
-    arr_b, sb = _as_arrays(b, INF)
-    if len(arr_a) == 0 or len(arr_b) == 0:
-        from ..core import empty_seq
-        return empty_seq(_conv_direction(a, b, "min"), INF)
+    a, b = _operand(a), _operand(b)
+    direction = _conv_direction(a, b)
+    if a.is_empty() or b.is_empty():
+        return empty_seq(direction, INF)
+    arr_a, arr_b = a.arr, b.arr
     for arr in (arr_a, arr_b):
         fin = arr[arr < INT_INF]
         if fin.size and (fin.min() < 0 or fin.max() > m):
@@ -136,4 +101,5 @@ def minplus_counting_fft(a, b, m: int) -> MonotoneSeq:
     nz = grid != 0
     has = nz.any(axis=1)
     out[has] = nz[has].argmax(axis=1)
-    return _from_array(out, sa + sb, _conv_direction(a, b, "min"), INF)
+    return MonotoneSeq(out, a.start + b.start, direction, INF,
+                       validate=False)

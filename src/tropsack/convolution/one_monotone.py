@@ -11,23 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import (INF, MonotoneSeq, NEG_INF, NON_DECREASING, SeedCtx,
-                    SeqError)
-from .naive import INT_INF, _as_arrays, _from_array, _saturate
-from .engine import monotone_maxplus_rect, _verified_direction
+from ..core import (INT_INF, MonotoneSeq, NEG_INF, NON_DECREASING, SeedCtx,
+                    SeqError, _finite, _saturate, _verified_direction,
+                    empty_seq)
+from .naive import _operand, tropical_kernel
+from .engine import monotone_maxplus_rect
 
 _BASE_LEN = 64
-
-
-def _maxplus_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n, m = len(a), len(b)
-    out = np.full(n + m - 1, -INT_INF, dtype=np.int64)
-    if n < m:
-        a, b, n, m = b, a, m, n
-    for j in range(m):
-        s = _saturate(a + b[j])
-        np.maximum(out[j:j + n], s, out=out[j:j + n])
-    return out
 
 
 def _pm(arr: np.ndarray) -> np.ndarray:
@@ -36,11 +26,9 @@ def _pm(arr: np.ndarray) -> np.ndarray:
 
 def _engine_maxplus(a: np.ndarray, b: np.ndarray, m: int, seed: SeedCtx,
                     method: str) -> np.ndarray:
-    sa = MonotoneSeq([int(v) if -INT_INF < v < INT_INF else (INF if v >= INT_INF else NEG_INF)
-                      for v in a], 0, NON_DECREASING, NEG_INF, validate=False)
-    sb = MonotoneSeq([int(v) if -INT_INF < v < INT_INF else (INF if v >= INT_INF else NEG_INF)
-                      for v in b], 0, NON_DECREASING, NEG_INF, validate=False)
-    return monotone_maxplus_rect(sa, sb, m, seed, method=method).to_array(INT_INF)
+    sa = MonotoneSeq(a, 0, NON_DECREASING, NEG_INF, validate=False)
+    sb = MonotoneSeq(b, 0, NON_DECREASING, NEG_INF, validate=False)
+    return monotone_maxplus_rect(sa, sb, m, seed, method=method).arr
 
 
 def _combine_max(out: np.ndarray, part: np.ndarray, offset: int):
@@ -53,7 +41,7 @@ def _one_monotone(a: np.ndarray, b: np.ndarray, m: int, seed: SeedCtx,
                   method: str, depth: int) -> np.ndarray:
     n = len(a)
     if n <= _BASE_LEN:
-        return _maxplus_arrays(a, b)
+        return tropical_kernel(a, b, maximize=True)
     if n % 2 == 1:
         core = _one_monotone(a[:-1], b[:-1], m, seed.child(depth, 0), method,
                              depth + 1)
@@ -87,19 +75,17 @@ def one_monotone_maxplus(a: MonotoneSeq, b, m: int, seed: SeedCtx,
     """Max-plus convolution of monotone non-decreasing ``a`` with an
     arbitrary equal-length ``b``; entries of both in [0, m]."""
     if a.direction != NON_DECREASING:
-        a = MonotoneSeq(a.values, a.start, NON_DECREASING, a.sentinel)  # validates
-    arr_a, sa = _as_arrays(a, NEG_INF)
-    arr_b, sb = _as_arrays(b, NEG_INF)
-    if len(arr_a) != len(arr_b):
+        a = MonotoneSeq(a.arr, a.start, NON_DECREASING, a.sentinel)  # validates
+    a, b = _operand(a), _operand(b)
+    if len(a) != len(b):
         raise SeqError("one_monotone_maxplus needs equal-length inputs")
-    if len(arr_a) == 0:
-        from ..core import empty_seq
+    if a.is_empty():
         return empty_seq(NON_DECREASING, NEG_INF)
-    for arr in (arr_a, arr_b):
-        fin = arr[np.abs(arr) < INT_INF]
+    for arr in (a.arr, b.arr):
+        fin = arr[_finite(arr)]
         if fin.size and (fin.min() < 0 or fin.max() > m):
             raise SeqError(f"entries outside [0, {m}]")
-    out = _one_monotone(arr_a, arr_b, m, seed, method, 0)
-    vals = _from_array(out, 0, "unknown", NEG_INF).values
-    return MonotoneSeq(vals, sa + sb, _verified_direction(vals, NON_DECREASING),
-                       NEG_INF, validate=False)
+    out = _one_monotone(a.arr, b.arr, m, seed, method, 0)
+    return MonotoneSeq(out, a.start + b.start,
+                       _verified_direction(out, NON_DECREASING), NEG_INF,
+                       validate=False)

@@ -4,9 +4,14 @@ Everything here is immutable after construction and safe to share across
 threads.  Sequences carry absolute start indices so that subarrays produced
 by :func:`restrict` compose without re-indexing bookkeeping.
 
-Extended integers are plain Python ints plus the two float infinities.
-Finite values are validated to stay below ``VALUE_LIMIT`` so that internal
-int64 workspaces never overflow silently.
+A :class:`MonotoneSeq` stores its entries as one read-only int64 array.
+Finite entries lie strictly inside ``(-VALUE_LIMIT, VALUE_LIMIT)``; the
+extended values +inf and -inf are stored as the sentinels ``INT_INF`` and
+``-INT_INF`` (2**61), which order like the infinities they stand for.
+Every layer (restriction, the kernels, the engine, the DPs) works on that
+array directly; ``.values`` decodes it into a tuple of ints and float
+infinities for callers outside the library.  The encoding and its
+saturating arithmetic are defined here and nowhere else.
 """
 
 from __future__ import annotations
@@ -24,6 +29,13 @@ NEG_INF = float("-inf")
 # (sentinel 2**61 plus one addition) cannot wrap.
 VALUE_LIMIT = 1 << 60
 
+# int64 sentinels; finite payloads entering tropical ops are capped at
+# 2**59 so a sentinel plus any finite value stays beyond the saturation
+# threshold and two sentinels stay below 2**63.
+INT_INF = 1 << 61
+_SAT = 1 << 60
+_OP_LIMIT = 1 << 59
+
 NON_DECREASING = "non-decreasing"
 NON_INCREASING = "non-increasing"
 UNKNOWN = "unknown"
@@ -31,20 +43,96 @@ UNKNOWN = "unknown"
 _DIRECTIONS = (NON_DECREASING, NON_INCREASING, UNKNOWN)
 
 
-def is_finite(v) -> bool:
-    return v != INF and v != NEG_INF
+def _saturate(s: np.ndarray) -> np.ndarray:
+    """Collapse any sentinel-contaminated sum back onto the sentinels."""
+    s[s >= _SAT] = INT_INF
+    s[s <= -_SAT] = -INT_INF
+    return s
 
 
-def check_value(v):
-    """Validate one extended-integer entry, returning it unchanged."""
+def _encode_entry(v) -> int:
     if v == INF or v == NEG_INF:
-        return v
+        return INT_INF if v > 0 else -INT_INF
     if not isinstance(v, (int, np.integer)):
         raise TypeError(f"sequence entries must be int or +/-inf, got {v!r}")
-    v = int(v)
-    if abs(v) >= VALUE_LIMIT:
+    if abs(int(v)) >= VALUE_LIMIT:
         raise OverflowError(f"finite entry {v} exceeds VALUE_LIMIT")
-    return v
+    return int(v)
+
+
+def _encode(values) -> np.ndarray:
+    """Read-only int64 encoding of ``values``.
+
+    An int64 array is taken as already encoded (+/-INT_INF for +/-inf) and
+    is shared when read-only; anything else is read as ints and float
+    infinities.  Finite entries must stay inside +/-VALUE_LIMIT.
+    """
+    encoded = isinstance(values, np.ndarray) and values.dtype == np.int64
+    if encoded:
+        arr = values.copy() if values.flags.writeable else values
+    else:
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
+        elif not isinstance(values, (list, tuple)):
+            values = list(values)
+        arr = np.array(values)
+        if arr.dtype.kind not in "iu" or arr.ndim != 1:
+            arr = np.array([_encode_entry(v) for v in values], dtype=np.int64)
+            encoded = True
+    if len(arr) and (arr.max() >= VALUE_LIMIT or arr.min() <= -VALUE_LIMIT):
+        bad = (arr >= VALUE_LIMIT) | (arr <= -VALUE_LIMIT)
+        if encoded:
+            bad &= _finite(arr)
+        if bad.any():
+            raise OverflowError(
+                f"finite entry {arr[bad][0]} exceeds VALUE_LIMIT")
+    if arr.flags.writeable:
+        arr = arr.astype(np.int64, copy=False)
+        arr.flags.writeable = False
+    return arr
+
+
+def _finite(arr: np.ndarray) -> np.ndarray:
+    return (arr != INT_INF) & (arr != -INT_INF)
+
+
+def _monotone(arr: np.ndarray, direction: str) -> bool:
+    """Whether the finite entries follow ``direction`` (never UNKNOWN)."""
+    steps = np.diff(arr[_finite(arr)])
+    if direction == NON_DECREASING:
+        return bool((steps >= 0).all())
+    return bool((steps <= 0).all())
+
+
+def _verified_direction(arr: np.ndarray, claimed: str) -> str:
+    """Keep the claimed direction only if the finite entries satisfy it.
+
+    Inputs with infinity holes can produce non-monotone outputs; a lying
+    tag would corrupt later binary searches.
+    """
+    if claimed == UNKNOWN or not _monotone(arr, claimed):
+        return UNKNOWN
+    return claimed
+
+
+def _flipped(direction: str) -> str:
+    if direction == NON_DECREASING:
+        return NON_INCREASING
+    if direction == NON_INCREASING:
+        return NON_DECREASING
+    return UNKNOWN
+
+
+def _read_band(arr: np.ndarray, arr_lo: int, lo: int, hi: int, fill
+              ) -> np.ndarray:
+    """Entries lo..hi of ``arr`` (whose first entry sits at index
+    ``arr_lo``), with ``fill`` outside it."""
+    out = np.full(hi - lo + 1, fill, dtype=np.int64)
+    s = max(lo, arr_lo)
+    e = min(hi, arr_lo + len(arr) - 1)
+    if s <= e:
+        out[s - lo:e - lo + 1] = arr[s - arr_lo:e - arr_lo + 1]
+    return out
 
 
 class SeqError(ValueError):
@@ -173,9 +261,14 @@ class SeedCtx:
 class MonotoneSeq:
     """An integer sequence over an index window with an absolute start
     index, a monotonicity tag, and explicit out-of-window sentinel
-    semantics (+inf for min-plus contexts, -inf for max-plus)."""
+    semantics (+inf for min-plus contexts, -inf for max-plus).
 
-    __slots__ = ("start", "values", "direction", "sentinel")
+    ``values`` may be a list of ints and float infinities or an encoded
+    int64 array (see the module docstring); ``arr`` holds the read-only
+    encoding and ``values`` decodes it.
+    """
+
+    __slots__ = ("start", "arr", "direction", "sentinel")
 
     def __init__(self, values, start: int = 0, direction: str = UNKNOWN,
                  sentinel=NEG_INF, validate: bool = True):
@@ -183,48 +276,40 @@ class MonotoneSeq:
             raise SeqError(f"bad direction {direction!r}")
         if sentinel not in (INF, NEG_INF):
             raise SeqError("sentinel must be +inf or -inf")
-        vals = tuple(check_value(v) for v in values)
         self.start = int(start)
-        self.values = vals
+        self.arr = _encode(values)
         self.direction = direction
         self.sentinel = sentinel
-        if validate and direction != UNKNOWN:
-            self._check_direction()
-
-    @staticmethod
-    def unsafe(values: tuple, start: int, direction: str, sentinel) -> "MonotoneSeq":
-        """Internal fast path: entries already validated upstream."""
-        obj = MonotoneSeq.__new__(MonotoneSeq)
-        obj.start = start
-        obj.values = values if isinstance(values, tuple) else tuple(values)
-        obj.direction = direction
-        obj.sentinel = sentinel
-        return obj
-
-    def _check_direction(self):
-        finite = [v for v in self.values if is_finite(v)]
-        if self.direction == NON_DECREASING:
-            ok = all(a <= b for a, b in zip(finite, finite[1:]))
-        else:
-            ok = all(a >= b for a, b in zip(finite, finite[1:]))
-        if not ok:
-            raise SeqError(f"values are not {self.direction}")
+        if validate and direction != UNKNOWN and \
+                not _monotone(self.arr, direction):
+            raise SeqError(f"values are not {direction}")
 
     # -- basic access ---------------------------------------------------
 
+    @property
+    def values(self) -> tuple:
+        """The entries as ints, with float infinities for the sentinels."""
+        vals = self.arr.tolist()
+        for i in np.flatnonzero(~_finite(self.arr)):
+            vals[i] = INF if vals[i] > 0 else NEG_INF
+        return tuple(vals)
+
     def __len__(self):
-        return len(self.values)
+        return len(self.arr)
 
     @property
     def stop(self) -> int:
         """One past the last valid absolute index."""
-        return self.start + len(self.values)
+        return self.start + len(self.arr)
 
     def __getitem__(self, idx: int):
         """Read at an absolute index; out-of-window reads yield the sentinel."""
         off = idx - self.start
-        if 0 <= off < len(self.values):
-            return self.values[off]
+        if 0 <= off < len(self.arr):
+            v = int(self.arr[off])
+            if abs(v) == INT_INF:
+                return INF if v > 0 else NEG_INF
+            return v
         return self.sentinel
 
     def __iter__(self):
@@ -233,33 +318,24 @@ class MonotoneSeq:
     def __eq__(self, other):
         if not isinstance(other, MonotoneSeq):
             return NotImplemented
-        return self.start == other.start and self.values == other.values
+        return self.start == other.start and \
+            np.array_equal(self.arr, other.arr)
 
     def __repr__(self):
-        shown = list(self.values[:8]) + (["..."] if len(self.values) > 8 else [])
-        return (f"MonotoneSeq(start={self.start}, len={len(self.values)}, "
+        shown = list(self.values[:8]) + (["..."] if len(self) > 8 else [])
+        return (f"MonotoneSeq(start={self.start}, len={len(self)}, "
                 f"{self.direction}, {shown})")
 
     def indices(self) -> range:
         return range(self.start, self.stop)
 
     def is_empty(self) -> bool:
-        return len(self.values) == 0
+        return len(self.arr) == 0
 
-    def with_direction(self, direction: str) -> "MonotoneSeq":
-        return MonotoneSeq(self.values, self.start, direction, self.sentinel)
-
-    def to_array(self, inf_value: int) -> np.ndarray:
-        """int64 copy with +/-inf entries replaced by ``+/-inf_value``."""
-        out = np.empty(len(self.values), dtype=np.int64)
-        for i, v in enumerate(self.values):
-            if v == INF:
-                out[i] = inf_value
-            elif v == NEG_INF:
-                out[i] = -inf_value
-            else:
-                out[i] = v
-        return out
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """Encoded entries at absolute indices lo..hi, sentinel outside."""
+        fill = INT_INF if self.sentinel == INF else -INT_INF
+        return _read_band(self.arr, self.start, lo, hi, fill)
 
 
 def empty_seq(direction: str = NON_DECREASING, sentinel=NEG_INF) -> MonotoneSeq:
@@ -317,97 +393,70 @@ def normalize(instance: KnapsackInstance) -> NormalizeResult:
 # Sequence operations
 
 
-def _bisect_by(seq_vals, lo, hi, pred):
-    """First offset in [lo, hi) where pred(value) is False; hi if none."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(seq_vals[mid]):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+def _bound(x, rnd) -> int:
+    """A value-interval end as an int that compares with every encoded
+    entry the way ``x`` compares with the value it encodes."""
+    if x == INF or x == NEG_INF:
+        return INT_INF if x > 0 else -INT_INF
+    return min(max(int(rnd(x)), 1 - INT_INF), INT_INF - 1)
 
 
 def restrict(seq: MonotoneSeq, index_interval, value_interval) -> MonotoneSeq:
     """Maximal contiguous subarray with indices in ``index_interval`` and
     finite values in ``value_interval`` (both inclusive pairs).
 
-    Requires a known monotone direction; runs two binary searches.  The
-    result keeps absolute start coordinates.
+    Requires a known monotone direction; runs two binary searches (which
+    on a sorted window find the first and last entry in the value
+    interval).  The result keeps absolute start coordinates.
     """
     if seq.direction == UNKNOWN:
         raise SeqError("restrict needs a monotone direction")
     ilo, ihi = index_interval
-    vlo, vhi = value_interval
+    vlo = _bound(value_interval[0], math.ceil)
+    vhi = _bound(value_interval[1], math.floor)
     lo = max(int(math.ceil(ilo)), seq.start) - seq.start
     hi = min(int(math.floor(ihi)), seq.stop - 1) - seq.start
     if lo > hi:
         return empty_seq(seq.direction, seq.sentinel)
-    vals = seq.values
+    vals = seq.arr[lo:hi + 1]
+    # sentinels sort as the infinities they encode
     if seq.direction == NON_DECREASING:
-        # values < vlo form a prefix, values > vhi a suffix (infinities sort
-        # as their limits)
-        first = _bisect_by(vals, lo, hi + 1, lambda v: v < vlo)
-        last = _bisect_by(vals, lo, hi + 1, lambda v: v <= vhi) - 1
+        first = lo + int(np.searchsorted(vals, vlo, "left"))
+        last = lo + int(np.searchsorted(vals, vhi, "right")) - 1
     else:
-        first = _bisect_by(vals, lo, hi + 1, lambda v: v > vhi)
-        last = _bisect_by(vals, lo, hi + 1, lambda v: v >= vlo) - 1
+        first = lo + int(np.searchsorted(-vals, -vhi, "left"))
+        last = lo + int(np.searchsorted(-vals, -vlo, "right")) - 1
     if first > last:
         return empty_seq(seq.direction, seq.sentinel)
-    sub = vals[first:last + 1]
-    if any(not is_finite(v) for v in sub):
-        # infinities never lie in a finite value interval; monotone order
-        # puts them at the ends, so trim them off
-        lo2 = 0
-        hi2 = len(sub)
-        while lo2 < hi2 and not is_finite(sub[lo2]):
-            lo2 += 1
-        while hi2 > lo2 and not is_finite(sub[hi2 - 1]):
-            hi2 -= 1
-        sub = sub[lo2:hi2]
-        first += lo2
-        if not sub:
-            return empty_seq(seq.direction, seq.sentinel)
-    return MonotoneSeq.unsafe(sub, seq.start + first, seq.direction,
-                              seq.sentinel)
+    # infinities never lie in a finite value interval; monotone order
+    # puts them at the ends, so trim them off
+    fin = np.flatnonzero(_finite(seq.arr[first:last + 1]))
+    if not len(fin):
+        return empty_seq(seq.direction, seq.sentinel)
+    last = first + int(fin[-1])
+    first += int(fin[0])
+    return MonotoneSeq(seq.arr[first:last + 1], seq.start + first,
+                       seq.direction, seq.sentinel, validate=False)
 
 
 def prefix_maxima(seq) -> MonotoneSeq:
     """Running maxima; the output is non-decreasing by construction."""
-    if isinstance(seq, MonotoneSeq):
-        start, vals, sentinel = seq.start, seq.values, seq.sentinel
-    else:
-        start, vals, sentinel = 0, tuple(seq), NEG_INF
-    out = []
-    best = NEG_INF
-    for v in vals:
-        check_value(v)
-        if v > best:
-            best = v
-        out.append(best)
-    return MonotoneSeq.unsafe(tuple(out), start, NON_DECREASING, sentinel)
+    if not isinstance(seq, MonotoneSeq):
+        seq = MonotoneSeq(seq)
+    return MonotoneSeq(np.maximum.accumulate(seq.arr), seq.start,
+                       NON_DECREASING, seq.sentinel, validate=False)
 
 
 def negate_shift(seq: MonotoneSeq, m: int) -> MonotoneSeq:
     """Entrywise ``m - value``; flips direction and sentinel. Involution."""
-    out = []
-    for v in seq.values:
-        if v == INF:
-            out.append(NEG_INF)
-        elif v == NEG_INF:
-            out.append(INF)
-        else:
-            if v < 0 or v > m:
-                raise SeqError(f"entry {v} outside [0, {m}]")
-            out.append(m - v)
-    if seq.direction == NON_DECREASING:
-        direction = NON_INCREASING
-    elif seq.direction == NON_INCREASING:
-        direction = NON_DECREASING
-    else:
-        direction = UNKNOWN
+    arr = seq.arr
+    fin = _finite(arr)
+    bad = fin & ((arr < 0) | (arr > m))
+    if bad.any():
+        raise SeqError(f"entry {arr[bad][0]} outside [0, {m}]")
     sentinel = NEG_INF if seq.sentinel == INF else INF
-    return MonotoneSeq.unsafe(tuple(out), seq.start, direction, sentinel)
+    return MonotoneSeq(np.where(fin, m - arr, -arr), seq.start,
+                       _flipped(seq.direction), sentinel, validate=False)
 
 
 def reverse_index(seq: MonotoneSeq) -> MonotoneSeq:
@@ -416,11 +465,5 @@ def reverse_index(seq: MonotoneSeq) -> MonotoneSeq:
     Composing twice is the identity; non-decreasing and non-increasing
     swap roles.
     """
-    if seq.direction == NON_DECREASING:
-        direction = NON_INCREASING
-    elif seq.direction == NON_INCREASING:
-        direction = NON_DECREASING
-    else:
-        direction = UNKNOWN
-    return MonotoneSeq(tuple(reversed(seq.values)), seq.start, direction,
+    return MonotoneSeq(seq.arr[::-1], seq.start, _flipped(seq.direction),
                        seq.sentinel, validate=False)

@@ -139,7 +139,7 @@ def cmd_conv(args) -> int:
     code = 0
     if args.oracle_check:
         want = minplus_naive(a, b)
-        verdict = "match" if got.values == want.values else "mismatch"
+        verdict = "match" if got == want else "mismatch"
         code = 0 if verdict == "match" else 1
     out = {"n": args.n, "m": args.m, "method": args.method,
            "millis": round(ms, 3), "verdict": verdict}

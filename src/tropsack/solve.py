@@ -8,8 +8,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (INF, Item, KnapsackInstance, MonotoneSeq, NEG_INF,
-                   NON_DECREASING, SeedCtx, Solution, normalize, restrict)
+from .core import (Item, KnapsackInstance, MonotoneSeq, NEG_INF,
+                   NON_DECREASING, SeedCtx, Solution, _finite, normalize,
+                   restrict)
 from .balanced import (solve_balanced_cuberoot,
                        solve_balanced_cuberoot_sym, solve_balanced_optsqrtw,
                        solve_balanced_tsqrtp)
@@ -129,8 +130,8 @@ def _pick_algorithm(sub: KnapsackInstance) -> str:
 
 
 def _zero_curve(lo: int, hi: int):
-    seq = MonotoneSeq([0] * (hi - lo + 1), lo, NON_DECREASING, NEG_INF,
-                      validate=False)
+    seq = MonotoneSeq(np.zeros(hi - lo + 1, dtype=np.int64), lo,
+                      NON_DECREASING, NEG_INF, validate=False)
     return seq, EmptySetNode()
 
 
@@ -171,13 +172,11 @@ def _medium_profit_window(sub, bsub, solver_fn, seed, reps, meta):
     seq = res.seq
     if seq.is_empty() or seq.start > lo or seq.stop <= hi:
         return _medium_bellman_window(sub, bsub, meta)
-    vals = []
-    for c in range(lo, hi + 1):
-        v = seq[c]
-        if v == NEG_INF or v == INF or v < offset:
-            return _medium_bellman_window(sub, bsub, meta)
-        vals.append(int(v) - offset)
-    out = MonotoneSeq(vals, lo, NON_DECREASING, NEG_INF, validate=False)
+    vals = seq.window(lo, hi)
+    if (~_finite(vals) | (vals < offset)).any():
+        return _medium_bellman_window(sub, bsub, meta)
+    out = MonotoneSeq(vals - offset, lo, NON_DECREASING, NEG_INF,
+                      validate=False)
     return out, ValueOffsetNode(offset, res.trace)
 
 
@@ -199,19 +198,20 @@ def _medium_weight_window(sub, bsub, solver_fn, seed, reps, meta):
     phi = bsub.profit_range[1] + offset
     if wseq.is_empty() or wseq.start > plo or wseq.stop <= phi:
         return _medium_bellman_window(sub, bsub, meta)
-    # derive the medium profit window: best covered profit within budget
-    vals = []
-    for c in range(lo, hi + 1):
-        best = 0
-        vlo, vhi = wseq.start, wseq.stop - 1
-        while vlo <= vhi:  # monotone weight curve: binary search
-            mid = (vlo + vhi) // 2
-            wv = wseq[mid]
-            if wv != INF and wv <= c:
-                best = max(best, mid)
-                vlo = mid + 1
-            else:
-                vhi = mid - 1
-        vals.append(max(0, best - offset))
-    out = MonotoneSeq(vals, lo, NON_DECREASING, NEG_INF, validate=False)
+    # derive the medium profit window: best covered profit within budget,
+    # by one binary search on the monotone weight curve per capacity, all
+    # capacities stepping together
+    caps = np.arange(lo, hi + 1)
+    vlo = np.full(len(caps), wseq.start)
+    vhi = np.full(len(caps), wseq.stop - 1)
+    best = np.zeros(len(caps), dtype=np.int64)
+    while (live := vlo <= vhi).any():
+        mid = (vlo + vhi) // 2
+        wv = wseq.arr[np.clip(mid, wseq.start, wseq.stop - 1) - wseq.start]
+        fits = live & (wv <= caps)
+        best = np.where(fits, np.maximum(best, mid), best)
+        vlo = np.where(fits, mid + 1, vlo)
+        vhi = np.where(live & ~fits, mid - 1, vhi)
+    out = MonotoneSeq(np.maximum(0, best - offset), lo, NON_DECREASING,
+                      NEG_INF, validate=False)
     return out, WeightWindowAsProfitNode(wseq, res.trace, offset)

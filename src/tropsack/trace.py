@@ -11,12 +11,13 @@ leaf it walks the stored table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import MonotoneSeq, is_finite
+from .core import MonotoneSeq, _finite
 
 
 class ReconstructionError(RuntimeError):
@@ -70,13 +71,18 @@ class MergeNode:
     rtrace: object
 
     def reconstruct(self, k, value):
-        for i in self.lseq.indices():
-            lv = self.lseq[i]
-            rv = self.rseq[k - i]
-            if is_finite(lv) and is_finite(rv) and lv + rv == value:
-                return self.ltrace.reconstruct(i, lv) + \
-                    self.rtrace.reconstruct(k - i, rv)
-        raise ReconstructionError(f"no split found at index {k}")
+        # the first left index i whose split (i, k - i) attains the value
+        left = self.lseq.arr
+        right = self.rseq.window(k - self.lseq.stop + 1,
+                                 k - self.lseq.start)[::-1]
+        hits = np.flatnonzero(_finite(left) & _finite(right) &
+                              (left + right == value))
+        if not len(hits):
+            raise ReconstructionError(f"no split found at index {k}")
+        h = int(hits[0])
+        i = self.lseq.start + h
+        return self.ltrace.reconstruct(i, int(left[h])) + \
+            self.rtrace.reconstruct(k - i, int(right[h]))
 
 
 @dataclass
@@ -94,7 +100,7 @@ class ChooseNode:
             if seq[k] == value:
                 return trace.reconstruct(k, value)
             if self.extend and k >= seq.stop and len(seq) and \
-                    seq.values[-1] == value:
+                    seq[seq.stop - 1] == value:
                 return trace.reconstruct(seq.stop - 1, value)
         raise ReconstructionError(f"no run attains value {value} at {k}")
 
@@ -199,16 +205,15 @@ class BandDPNode:
         return out
 
     def _locate(self, k, value):
-        # the monotonizing pass moved `value` from some index at-or-before
-        # (profit) / at-or-after (weight) k
-        rng = self.pre_final.indices()
-        it = reversed(rng) if self.kind == "profit" else rng
-        for j in it:
-            if self.kind == "profit" and j <= k and self.pre_final[j] == value:
-                return j
-            if self.kind == "weight" and j >= k and self.pre_final[j] == value:
-                return j
-        return None
+        # the monotonizing pass moved `value` from the nearest index
+        # at-or-before (profit) / at-or-after (weight) k
+        hits = self.pre_final.start + \
+            np.flatnonzero(self.pre_final.arr == value)
+        if self.kind == "profit":
+            hits = hits[hits <= k]
+            return int(hits[-1]) if len(hits) else None
+        hits = hits[hits >= k]
+        return int(hits[0]) if len(hits) else None
 
 
 @dataclass
@@ -269,7 +274,7 @@ class WeightWindowAsProfitNode:
             return []
         v = value + self.offset
         w = self.wseq[v]
-        if not is_finite(w) or w > k:
+        if math.isinf(w) or w > k:
             raise ReconstructionError("derived profit entry inconsistent")
         ids = self.wtrace.reconstruct(v, w)
         return [i for i in ids if i >= 0]
@@ -277,6 +282,6 @@ class WeightWindowAsProfitNode:
 
 def reconstruct_items(trace, k: int, value) -> list:
     """Item ids realizing ``value`` at absolute index ``k``."""
-    if not is_finite(value):
+    if math.isinf(value):
         raise ReconstructionError("cannot reconstruct an infinite entry")
     return trace.reconstruct(k, value)

@@ -15,9 +15,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import (INF, KnapsackInstance, MonotoneSeq, NEG_INF,
-                   NON_DECREASING, SeedCtx)
-from .convolution.naive import INT_INF, _saturate
+from .core import (INF, INT_INF, KnapsackInstance, MonotoneSeq, NEG_INF,
+                   NON_DECREASING, SeedCtx, UNKNOWN, _saturate, _read_band)
 from .trace import BandDPNode, ChooseNode, EmptySetNode
 
 
@@ -26,47 +25,24 @@ def _delta(ell: int, scale: int, n: int) -> int:
     return ell + math.ceil(4.0 * math.sqrt(max(scale, 0) * logterm))
 
 
-def _read_band(arr: np.ndarray, arr_lo: int, lo: int, hi: int, fill) -> np.ndarray:
-    out = np.full(hi - lo + 1, fill, dtype=np.int64)
-    s = max(lo, arr_lo)
-    e = min(hi, arr_lo + len(arr) - 1)
-    if s <= e:
-        out[s - lo:e - lo + 1] = arr[s - arr_lo:e - arr_lo + 1]
-    return out
-
-
-def _entrywise(runs, op, sentinel, extend: bool):
-    """Combine (seq, trace) runs entrywise over the union window.
-
-    ``extend`` reads a run past its top index as its last value, matching
-    the semantics of budget curves (constant once items are exhausted).
-    """
+def combine_boosted(runs, maximize: bool):
+    """Combine (seq, trace) runs by entrywise max (min) over the union
+    window.  Max-plus runs are budget curves, constant once their items
+    run out, so past its top index a run reads as its last value."""
     if len(runs) == 1:
         return runs[0]
     start = min(s.start for s, _ in runs)
     stop = max(s.stop for s, _ in runs)
-
-    def read(s, k):
-        if extend and k >= s.stop and len(s):
-            return s.values[-1]
-        return s[k]
-
-    vals = []
-    for k in range(start, stop):
-        best = read(runs[0][0], k)
-        for s, _ in runs[1:]:
-            v = read(s, k)
-            if op(v, best):
-                best = v
-        vals.append(best)
-    seq = MonotoneSeq.unsafe(tuple(vals), start, NON_DECREASING, sentinel)
-    return seq, ChooseNode(list(runs), extend=extend)
-
-
-def combine_boosted(runs, maximize: bool):
-    sentinel = NEG_INF if maximize else INF
-    op = (lambda a, b: a > b) if maximize else (lambda a, b: a < b)
-    return _entrywise(runs, op, sentinel, extend=maximize)
+    rows = []
+    for s, _ in runs:
+        row = s.window(start, stop - 1)
+        if maximize and len(s):
+            row[s.stop - start:] = s.arr[-1]
+        rows.append(row)
+    fold = np.maximum if maximize else np.minimum
+    seq = MonotoneSeq(fold.reduce(rows, axis=0), start, NON_DECREASING,
+                      NEG_INF if maximize else INF, validate=False)
+    return seq, ChooseNode(list(runs), extend=maximize)
 
 
 def banded_profit_window(instance: KnapsackInstance, t: int, ell: int,
@@ -77,8 +53,8 @@ def banded_profit_window(instance: KnapsackInstance, t: int, ell: int,
         raise ValueError("need 2 <= ell <= t")
     lo_out, hi_out = max(0, t - ell), t + ell
     if instance.n == 0:
-        seq = MonotoneSeq([0] * (hi_out - lo_out + 1), lo_out,
-                          NON_DECREASING, NEG_INF, validate=False)
+        seq = MonotoneSeq(np.zeros(hi_out - lo_out + 1, dtype=np.int64),
+                          lo_out, NON_DECREASING, NEG_INF, validate=False)
         return seq, EmptySetNode()
     runs = []
     for r in range(boost):
@@ -112,9 +88,7 @@ def _banded_profit_once(instance, t, ell, seed, ids):
         taken_rows.append(take > stay)
         band_lo[r] = lo
         prev, prev_lo = cur, lo
-    pre_vals = [int(v) if v > -INT_INF else NEG_INF for v in prev]
-    pre_final = MonotoneSeq(pre_vals, prev_lo, "unknown", NEG_INF,
-                            validate=False)
+    pre_final = MonotoneSeq(prev, prev_lo, UNKNOWN, NEG_INF)
     final = prev.copy()
     np.maximum.accumulate(final, out=final)
     w_all = int(w.sum())
@@ -126,8 +100,7 @@ def _banded_profit_once(instance, t, ell, seed, ids):
         all_applied = True
     lo_out, hi_out = max(0, t - ell), t + ell
     vals = _read_band(final, prev_lo, lo_out, hi_out, -INT_INF)
-    seq = MonotoneSeq([int(v) if v > -INT_INF else NEG_INF for v in vals],
-                      lo_out, NON_DECREASING, NEG_INF, validate=False)
+    seq = MonotoneSeq(vals, lo_out, NON_DECREASING, NEG_INF, validate=False)
     node = BandDPNode("profit", sigma, w, p, idarr, band_lo, taken_rows,
                       pre_final,
                       tuple(int(i) for i in idarr) if all_applied else None,
@@ -143,7 +116,9 @@ def banded_weight_window(instance: KnapsackInstance, v: int, ell: int,
         raise ValueError("need 2 <= ell <= v")
     lo_out, hi_out = max(0, v - ell), v + ell
     if instance.n == 0:
-        vals = [0 if k == 0 else INF for k in range(lo_out, hi_out + 1)]
+        vals = np.full(hi_out - lo_out + 1, INT_INF, dtype=np.int64)
+        if lo_out == 0:
+            vals[0] = 0
         seq = MonotoneSeq(vals, lo_out, NON_DECREASING, INF, validate=False)
         return seq, EmptySetNode()
     runs = []
@@ -179,19 +154,14 @@ def _banded_weight_once(instance, v, ell, seed, ids):
         taken_rows.append(take < stay)
         band_lo[r] = lo
         prev, prev_lo = cur, lo
-    pre_vals = [int(x) if x < INT_INF else INF for x in prev]
-    pre_final = MonotoneSeq(pre_vals, prev_lo, "unknown", INF, validate=False)
+    pre_final = MonotoneSeq(prev, prev_lo, UNKNOWN, INF)
     final = prev.copy()
     final = np.minimum.accumulate(final[::-1])[::-1]
     lo_out, hi_out = max(0, v - ell), v + ell
     vals = _read_band(final, prev_lo, lo_out, hi_out, INT_INF)
-    out = []
-    for k, x in zip(range(lo_out, hi_out + 1), vals):
-        if k == 0:
-            out.append(0)
-        else:
-            out.append(int(x) if x < INT_INF else INF)
-    seq = MonotoneSeq(out, lo_out, NON_DECREASING, INF, validate=False)
+    if lo_out == 0:
+        vals[0] = 0
+    seq = MonotoneSeq(vals, lo_out, NON_DECREASING, INF, validate=False)
     node = BandDPNode("weight", sigma, w, p, idarr, band_lo, taken_rows,
                       pre_final)
     return seq, node

@@ -325,3 +325,52 @@ def test_merge_cell_replay_counts_the_kernel(monkeypatch):
     assert len(calls[-1][0]) > 2
     for lengths, cells in calls:
         assert _tree_merge_cells(lengths, 64) == cells
+
+
+def ref_best_single_profit(w, p, ids, idx_cap):
+    """Loop reference: best single item per weight budget, lighter and
+    then earlier items winning ties."""
+    hi = int(min(idx_cap, max(w, default=0)))
+    vals, wit = [0] * (hi + 1), [-1] * (hi + 1)
+    for wi, pi, i in zip(w, p, ids):
+        if wi <= hi and pi > vals[wi]:
+            vals[wi], wit[wi] = pi, i
+    for j in range(1, hi + 1):
+        if vals[j - 1] > vals[j]:
+            vals[j], wit[j] = vals[j - 1], wit[j - 1]
+        elif vals[j - 1] == vals[j] and wit[j - 1] >= 0:
+            wit[j] = wit[j - 1]
+    return tuple(vals), wit
+
+
+def ref_best_single_weight(w, p, ids, idx_cap):
+    """Loop reference: lightest single item with profit >= j, smaller
+    and then earlier items winning ties."""
+    hi = int(min(idx_cap, max(p, default=0)))
+    vals, wit = [INF] * (hi + 1), [-1] * (hi + 1)
+    for wi, pi, i in zip(w, p, ids):
+        j = min(pi, hi)
+        if wi < vals[j]:
+            vals[j], wit[j] = wi, i
+    for j in range(hi - 1, 0, -1):
+        if vals[j + 1] < vals[j]:
+            vals[j], wit[j] = vals[j + 1], wit[j + 1]
+    vals[0], wit[0] = 0, -1
+    return tuple(vals), wit
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(items=st.lists(st.tuples(st.integers(1, 12), st.integers(0, 12)),
+                      max_size=12),
+       idx_cap=st.integers(0, 15))
+def test_best_single_curves_match_loop_reference(items, idx_cap):
+    # few distinct weights and profits, so ties are common
+    w = np.array([a for a, _ in items], dtype=np.int64)
+    p = np.array([b for _, b in items], dtype=np.int64)
+    ids = np.arange(100, 100 + len(items))
+    for fn, ref in ((bounded._best_single_profit, ref_best_single_profit),
+                    (bounded._best_single_weight, ref_best_single_weight)):
+        seq, node = fn(w, p, ids, idx_cap)
+        vals, wit = ref(w.tolist(), p.tolist(), ids.tolist(), idx_cap)
+        assert seq.start == 0 and seq.values == vals
+        assert node.witness.tolist() == wit

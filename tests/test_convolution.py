@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import tropsack
 
 from tropsack import (INF, NEG_INF, MonotoneSeq, NON_DECREASING,
                       NON_INCREASING, SeedCtx)
@@ -11,7 +18,8 @@ from tropsack.convolution import (ChminSegmentTree, exact_convolve,
                                   tilde_convolution, is_prime)
 from tropsack.convolution.exactpoly import DegreeBoundError, _ntt_convolve
 from tropsack.convolution.engine import B_RANGE, _minplus_levels
-from tropsack.convolution.naive import INT_INF, _as_arrays
+from tropsack.convolution.naive import tropical_kernel
+from tropsack.core import INT_INF
 
 
 def nd(vals, start=0):
@@ -317,11 +325,10 @@ class TestWhiteBox:
             na, nb = int(rng.integers(8, 40)), int(rng.integers(8, 40))
             a = rand_monotone(rng, na, m)
             b = rand_monotone(rng, nb, m)
-            arr_a, _ = _as_arrays(a, INF)
-            arr_b, _ = _as_arrays(b, INF)
+            arr_a, arr_b = a.arr, b.arr
             total, trace = _minplus_levels(arr_a, arr_b, m, SeedCtx(trial),
                                            debug=True, deadline=None)
-            want = minplus_naive(a, b).to_array(INT_INF)
+            want = minplus_naive(a, b).arr
             assert (total == want).all()
             p = trace.prime
             for pt in trace.pair_traces:
@@ -331,8 +338,7 @@ class TestWhiteBox:
                 from tropsack.convolution.engine import _class_split_array
                 ca = _class_split_array(arr_a, p)[pt.x_class]
                 cb = _class_split_array(arr_b, p)[pt.y_class]
-                from tropsack.convolution.engine import _minplus_dense
-                cpair = _minplus_dense(ca, cb)
+                cpair = tropical_kernel(ca, cb, maximize=False)
                 prev_segments = None
                 for state in pt.levels:
                     lvl = state.level
@@ -417,9 +423,7 @@ class TestMorePipelineInvariants:
         m = 128
         a = rand_monotone(rng, 64, m)
         b = rand_monotone(rng, 64, m)
-        arr_a, _ = _as_arrays(a, INF)
-        arr_b, _ = _as_arrays(b, INF)
-        _, trace = _minplus_levels(arr_a, arr_b, m, SeedCtx(0), debug=True,
+        _, trace = _minplus_levels(a.arr, b.arr, m, SeedCtx(0), debug=True,
                                    deadline=None)
         n = 64
         worst = 0.0
@@ -430,3 +434,34 @@ class TestMorePipelineInvariants:
                 worst = max(worst, mass / max(bound, 1.0))
         print(f"measured segment-count constant: {worst:.2f}")
         assert worst < 50
+
+
+IDLE_AFTER_LEVELS = """
+import time
+import numpy as np
+from tropsack import MonotoneSeq, NON_DECREASING, INF, SeedCtx
+from tropsack.convolution import monotone_minplus_rect
+rng = np.random.default_rng(0)
+a, b = (MonotoneSeq(np.sort(rng.integers(0, 1025, 1024)), 0, NON_DECREASING,
+                    INF) for _ in range(2))
+monotone_minplus_rect(a, b, 1024, SeedCtx(1), method="levels")
+t0 = time.process_time()
+time.sleep(0.3)
+print(time.process_time() - t0)
+"""
+
+
+def test_levels_call_leaves_no_thread_spinning():
+    # the FFT's error bound once took its norms with np.dot, which starts
+    # OpenBLAS's thread pool; its idle threads then spin, costing CPU time
+    # in a process that is only sleeping
+    src = str(Path(tropsack.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                        "GOTO_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", IDLE_AFTER_LEVELS], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=300).stdout
+    assert float(out) < 0.05

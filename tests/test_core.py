@@ -5,7 +5,7 @@ from tropsack import (INF, NEG_INF, Item, KnapsackInstance, MonotoneSeq,
                       NON_DECREASING, NON_INCREASING, SeedCtx, Solution,
                       negate_shift, normalize, prefix_maxima, restrict,
                       reverse_index)
-from tropsack.core import InstanceError, SeqError, check_value
+from tropsack.core import InstanceError, SeqError
 
 
 def seq(vals, start=0, direction=NON_DECREASING, sentinel=NEG_INF):
@@ -177,7 +177,7 @@ class TestSeedCtx:
 class TestValues:
     def test_overflow_traps(self):
         with pytest.raises(OverflowError):
-            check_value(1 << 60)
+            MonotoneSeq([0, 1 << 60])
 
     def test_sentinel_reads(self):
         s = seq([1, 2], start=5, sentinel=NEG_INF)

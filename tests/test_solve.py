@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("algo", NON_AUTO)
     def test_all_algorithms_match_oracle(self, algo):
-        rng = np.random.default_rng(hash(algo) & 0xffff)
+        rng = np.random.default_rng(zlib.crc32(algo.encode()))
         for trial in range(25):
             n = int(rng.integers(0, 40))
             if trial % 2 and n:
