@@ -6,13 +6,15 @@ combined up a binary tree of bounded monotone tropical convolutions.
 Concentration of the random split lets every level restrict its sequences
 to narrow index and value windows, which is where the speed comes from.
 Single runs are correct with high probability; results are boosted by
-entrywise max (profit) or min (weight) over repetitions.
+entrywise max (profit) or min (weight) over repetitions, which stop at
+the first exact run.  A plan none of whose level windows narrows runs as
+one leaf over all items (q = 0): the tree would compute the same curve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -25,7 +27,8 @@ from .bellman import bellman_profit_dp, bellman_weight_dp, greedy_upper_bound
 from .bounded import bc_profit_bounded, bc_weight_bounded, merge_maxplus, \
     merge_minplus
 from .trace import reconstruct_items
-from .windowed import combine_boosted, banded_profit_window, banded_weight_window
+from .windowed import (Witnessed, banded_profit_window, banded_weight_window,
+                       boost_runs)
 
 
 class ImbalanceError(ValueError):
@@ -72,6 +75,16 @@ class TreeLevelPlan:
 
     def base_profit_window(self):
         return (0, self.profit_window(self.q)[1])
+
+    def collapsed(self) -> "TreeLevelPlan":
+        """The plan to run: q = 0 when every level window is the whole
+        (0, cap_w) x (0, cap_p).  Tropical sums of non-negative curves
+        commute with truncation at cap_w and cap_p, so such a tree
+        computes what one leaf over all its items does."""
+        whole = all(self.weight_window(lvl) == (0, self.cap_w) and
+                    self.profit_window(lvl) == (0, self.cap_p)
+                    for lvl in range(self.q + 1))
+        return replace(self, q=0) if whole else self
 
 
 def make_plan(instance: KnapsackInstance, opt_bound: int,
@@ -186,7 +199,8 @@ def _random_groups(n: int, q: int, seed: SeedCtx):
 
 
 def _tree_run(instance, plan, seed, leaf_fn, merge, ids):
-    """One randomized run of the group tree; returns (seq, trace)."""
+    """One randomized run of the group tree, a Witnessed curve; exact
+    when the tree is one exact leaf."""
     groups = _random_groups(instance.n, plan.q, seed.child(0))
     level = []
     for j, members in enumerate(groups):
@@ -197,7 +211,8 @@ def _tree_run(instance, plan, seed, leaf_fn, merge, ids):
         nxt = []
         for j in range(0, len(level), 2):
             seq, tr = merge(level[j], level[j + 1], seed.child(2, lvl, j))
-            nxt.append((_restrict_pair(seq, w_win, p_win, merge), tr))
+            nxt.append(Witnessed(_restrict_pair(seq, w_win, p_win, merge),
+                                 tr))
         level = nxt
     return level[0]
 
@@ -223,9 +238,8 @@ def solve_balanced_tsqrtp(instance: KnapsackInstance, seed: SeedCtx,
         return _bellman_profit_result(instance, opt_bound,
                                       {"algo": "t_sqrt_p"}, ids)
     plan = make_plan(instance, opt_bound)
-    return _boosted_profit(instance, plan, opt_bound, seed, reps, ids,
-                           _bc_leaf_factory(instance, plan, ids),
-                           {"algo": "t_sqrt_p", "q": plan.q})
+    return _boosted("profit", instance, plan, opt_bound, seed, reps, ids,
+                    _bc_leaf_factory, {"algo": "t_sqrt_p"})
 
 
 def solve_balanced_cuberoot(instance: KnapsackInstance, seed: SeedCtx,
@@ -250,9 +264,8 @@ def solve_balanced_cuberoot(instance: KnapsackInstance, seed: SeedCtx,
     q = min(q, max(0, min(t // instance.w_max,
                           opt_bound // instance.p_max).bit_length() - 1))
     plan = make_plan(instance, opt_bound, q=q)
-    return _boosted_profit(instance, plan, opt_bound, seed, reps, ids,
-                           _banded_leaf_factory(instance, plan, ids),
-                           {"algo": "cuberoot", "q": plan.q})
+    return _boosted("profit", instance, plan, opt_bound, seed, reps, ids,
+                    _banded_leaf_factory, {"algo": "cuberoot"})
 
 
 def _cuberoot_q(num: int, den: int) -> int:
@@ -263,21 +276,28 @@ def _cuberoot_q(num: int, den: int) -> int:
     return q
 
 
-def _boosted_profit(instance, plan, opt_bound, seed, reps, ids, leaf_fn, meta):
+def _boosted(kind, instance, plan, opt_bound, seed, reps, ids, leaf_factory,
+             meta):
+    """Boosted tree runs of the collapsed plan, read on the final
+    windows; ``meta`` gains the planned and the run q, the reps and the
+    runs made."""
     reps = _default_reps(instance.n) if reps is None else reps
-    runs = []
-    for r in range(reps):
-        runs.append(_tree_run(instance, plan, seed.child(100 + r), leaf_fn,
-                              merge_maxplus, ids))
-    seq, tr = combine_boosted(runs, maximize=True)
+    merge = merge_maxplus if kind == "profit" else merge_minplus
+    ran = plan.collapsed()
+    leaf_fn = leaf_factory(instance, ran, ids)
+    (seq, tr), runs = boost_runs(
+        lambda r: _tree_run(instance, ran, seed.child(100 + r), leaf_fn,
+                            merge, ids),
+        reps, maximize=kind == "profit")
+    meta.update(q=plan.q, q_ran=ran.q, reps=reps, runs=runs)
     t_win, p_win = _final_windows(instance, opt_bound)
     if _verified_direction(seq.arr, NON_DECREASING) == "unknown":
-        out = MonotoneSeq((), 0, NON_DECREASING, NEG_INF)
+        out = MonotoneSeq((), 0, NON_DECREASING,
+                          NEG_INF if kind == "profit" else INF)
         meta = dict(meta, combine_nonmonotone=True)
     else:
-        out = restrict(seq, t_win, p_win)
-    return SolverResult("profit", out, tr, t_win, p_win, opt_bound,
-                        dict(meta, reps=reps))
+        out = _restrict_pair(seq, t_win, p_win, merge)
+    return SolverResult(kind, out, tr, t_win, p_win, opt_bound, meta)
 
 
 def _bc_leaf_factory(instance, plan, ids):
@@ -289,9 +309,9 @@ def _bc_leaf_factory(instance, plan, ids):
 
     def leaf(members, j, seed):
         sub = instance.subset(members)
-        seq, tr = bc_profit_bounded(sub, w_star[1], p_star[1], seed,
-                                    ids=idarr[members])
-        return restrict(seq, w_q, p_q), tr
+        res = bc_profit_bounded(sub, w_star[1], p_star[1], seed,
+                                ids=idarr[members])
+        return Witnessed(restrict(res[0], w_q, p_q), res[1], res.exact)
 
     return leaf
 
@@ -306,11 +326,12 @@ def _banded_leaf_factory(instance, plan, ids):
     def leaf(members, j, seed):
         sub = instance.subset(members)
         if sub.n == 0 or ell < 2 or ell > t_q:
-            seq, tr = bellman_profit_dp(sub, w_q[1], ids=idarr[members])
+            res = Witnessed(*bellman_profit_dp(sub, w_q[1],
+                                               ids=idarr[members]), True)
         else:
-            seq, tr = banded_profit_window(sub, t_q, ell, seed,
-                                         ids=idarr[members])
-        return restrict(seq, w_q, p_q), tr
+            res = banded_profit_window(sub, t_q, ell, seed,
+                                       ids=idarr[members])
+        return Witnessed(restrict(res[0], w_q, p_q), res[1], res.exact)
 
     return leaf
 
@@ -330,9 +351,8 @@ def solve_balanced_optsqrtw(instance: KnapsackInstance, seed: SeedCtx,
         return _bellman_weight_result(instance, opt_bound,
                                       {"algo": "opt_sqrt_w"}, ids)
     plan = make_plan(instance, opt_bound)
-    return _boosted_weight(instance, plan, opt_bound, seed, reps, ids,
-                           _bcw_leaf_factory(instance, plan, ids),
-                           {"algo": "opt_sqrt_w", "q": plan.q})
+    return _boosted("weight", instance, plan, opt_bound, seed, reps, ids,
+                    _bcw_leaf_factory, {"algo": "opt_sqrt_w"})
 
 
 def solve_balanced_cuberoot_sym(instance: KnapsackInstance, seed: SeedCtx,
@@ -355,26 +375,8 @@ def solve_balanced_cuberoot_sym(instance: KnapsackInstance, seed: SeedCtx,
     q = min(q, max(0, min(instance.capacity // instance.w_max,
                           opt_bound // instance.p_max).bit_length() - 1))
     plan = make_plan(instance, opt_bound, q=q)
-    return _boosted_weight(instance, plan, opt_bound, seed, reps, ids,
-                           _bandedw_leaf_factory(instance, plan, ids),
-                           {"algo": "cuberoot_sym", "q": plan.q})
-
-
-def _boosted_weight(instance, plan, opt_bound, seed, reps, ids, leaf_fn, meta):
-    reps = _default_reps(instance.n) if reps is None else reps
-    runs = []
-    for r in range(reps):
-        runs.append(_tree_run(instance, plan, seed.child(100 + r), leaf_fn,
-                              merge_minplus, ids))
-    seq, tr = combine_boosted(runs, maximize=False)
-    t_win, p_win = _final_windows(instance, opt_bound)
-    if _verified_direction(seq.arr, NON_DECREASING) == "unknown":
-        out = MonotoneSeq((), 0, NON_DECREASING, INF)
-        meta = dict(meta, combine_nonmonotone=True)
-    else:
-        out = restrict(seq, p_win, t_win)
-    return SolverResult("weight", out, tr, t_win, p_win, opt_bound,
-                        dict(meta, reps=reps))
+    return _boosted("weight", instance, plan, opt_bound, seed, reps, ids,
+                    _bandedw_leaf_factory, {"algo": "cuberoot_sym"})
 
 
 def _bcw_leaf_factory(instance, plan, ids):
@@ -386,9 +388,9 @@ def _bcw_leaf_factory(instance, plan, ids):
 
     def leaf(members, j, seed):
         sub = instance.subset(members)
-        seq, tr = bc_weight_bounded(sub, p_star[1], w_star[1], seed,
-                                    ids=idarr[members])
-        return restrict(seq, p_q, w_q), tr
+        res = bc_weight_bounded(sub, p_star[1], w_star[1], seed,
+                                ids=idarr[members])
+        return Witnessed(restrict(res[0], p_q, w_q), res[1], res.exact)
 
     return leaf
 
@@ -403,11 +405,12 @@ def _bandedw_leaf_factory(instance, plan, ids):
     def leaf(members, j, seed):
         sub = instance.subset(members)
         if sub.n == 0 or ell < 2 or ell > v_q:
-            seq, tr = bellman_weight_dp(sub, p_q[1], ids=idarr[members])
+            res = Witnessed(*bellman_weight_dp(sub, p_q[1],
+                                               ids=idarr[members]), True)
         else:
-            seq, tr = banded_weight_window(sub, v_q, ell, seed,
-                                         ids=idarr[members])
-        return restrict(seq, p_q, w_q), tr
+            res = banded_weight_window(sub, v_q, ell, seed,
+                                       ids=idarr[members])
+        return Witnessed(restrict(res[0], p_q, w_q), res[1], res.exact)
 
     return leaf
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from .core import (INF, INT_INF, KnapsackInstance, MonotoneSeq, NEG_INF,
                    NON_DECREASING, SeedCtx, Solution, _finite, restrict)
-from .bellman import greedy_order
 from .bounded import bc_profit_bounded, merge_maxplus
 from .trace import EmptySetNode, reconstruct_items
 
@@ -47,7 +46,7 @@ class RatioPartition:
 def max_prefix_partition(instance: KnapsackInstance) -> RatioPartition:
     if instance.n == 0:
         return RatioPartition((), (), None, (), (), ())
-    order = tuple(greedy_order(instance))
+    order = instance.ratio_order
     total = 0
     prefix = []
     for i in order:
@@ -58,22 +57,19 @@ def max_prefix_partition(instance: KnapsackInstance) -> RatioPartition:
         else:
             break
     assert prefix, "normalized instances always fit their lightest item"
-    last = prefix[-1]
-    rho = Fraction(instance.items[last].profit,
-                   max(instance.items[last].weight, 1))
+    last = instance.items[prefix[-1]]
+    p_rho, w_rho = last.profit, max(last.weight, 1)
     good, medium, bad = [], [], []
-    for i in range(instance.n):
-        it = instance.items[i]
-        if it.weight == 0:
-            ratio = None  # infinite-ratio dummies count as good
-        else:
-            ratio = Fraction(it.profit, it.weight)
-        if ratio is None or ratio > 2 * rho:
+    for i, it in enumerate(instance.items):
+        # p/w against 2*rho and rho/2, cross-multiplied; infinite-ratio
+        # (weight-0) dummies count as good
+        if it.weight == 0 or it.profit * w_rho > 2 * p_rho * it.weight:
             good.append(i)
-        elif ratio < rho / 2:
+        elif 2 * it.profit * w_rho < p_rho * it.weight:
             bad.append(i)
         else:
             medium.append(i)
+    rho = Fraction(p_rho, w_rho)
     return RatioPartition(order, tuple(prefix), rho, tuple(good),
                           tuple(medium), tuple(bad))
 

@@ -7,7 +7,6 @@ small for the divide-and-conquer machinery to pay off.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
@@ -82,20 +81,6 @@ def weight_dp(w: np.ndarray, p: np.ndarray, ids: np.ndarray, k: int
     return seq, WeightDPNode(w, p, ids, taken)
 
 
-def _ratio_key(item, i):
-    # weight-0 dummies sort as infinite ratio; exact rationals otherwise
-    if item.weight == 0:
-        return (0, 0, i)
-    return (1, -Fraction(item.profit, item.weight), i)
-
-
-def greedy_order(instance: KnapsackInstance):
-    """Indices sorted by profit-to-weight ratio, non-increasing, ties by
-    original index (exact rational comparison, no floats)."""
-    return sorted(range(instance.n),
-                  key=lambda i: _ratio_key(instance.items[i], i))
-
-
 def greedy_upper_bound(instance: KnapsackInstance) -> int:
     """Prefix-greedy bound: OPT <= result <= OPT + p_max for normalized
     instances (and p_max <= result <= n * p_max)."""
@@ -103,7 +88,7 @@ def greedy_upper_bound(instance: KnapsackInstance) -> int:
         return 0
     total_w = 0
     total_p = 0
-    for i in greedy_order(instance):
+    for i in instance.ratio_order:
         it = instance.items[i]
         if total_w + it.weight <= instance.capacity:
             total_w += it.weight

@@ -7,7 +7,9 @@ small enough that color coding recovers per-subgroup curves from
 single-item sequences, and everything is merged back with bounded
 monotone max-plus (min-plus) convolutions.  Monte Carlo: each entry of a
 single run is correct with constant probability per color-coding round,
-boosted internally; callers can boost whole runs on top.
+boosted internally; callers can boost whole runs on top.  A run that
+color-codes nothing is exact, and boosting stops at it (as color coding
+stops at a round whose buckets hold one item each).
 
 A group whose exact 0/1 DP costs no more cells than a lower bound on its
 split (the entries of its subgroup curves plus the kernel cells of
@@ -30,7 +32,7 @@ from .convolution import (maxplus_naive, minplus_naive,
                           monotone_maxplus_rect, monotone_minplus_rect)
 from .trace import (ConstItemsNode, EmptySetNode, FreeItemsProfitNode,
                     FreeItemsWeightNode, ItemWitnessNode, MergeNode, PadNode)
-from .windowed import combine_boosted
+from .windowed import Witnessed, boost_runs
 
 
 @dataclass(frozen=True)
@@ -146,14 +148,14 @@ _cap_min_curve = _cap_max_curve
 def _zero_profit_curve(hi: int):
     seq = MonotoneSeq(np.zeros(hi + 1, dtype=np.int64), 0, NON_DECREASING,
                       NEG_INF, validate=False)
-    return seq, EmptySetNode()
+    return Witnessed(seq, EmptySetNode(), True)
 
 
 def _zero_weight_curve(hi: int):
     vals = np.full(hi + 1, INT_INF, dtype=np.int64)
     vals[0] = 0
     seq = MonotoneSeq(vals, 0, NON_DECREASING, INF, validate=False)
-    return seq, EmptySetNode()
+    return Witnessed(seq, EmptySetNode(), True)
 
 
 # ---------------------------------------------------------------------------
@@ -165,24 +167,6 @@ def bc_profit_bounded(instance: KnapsackInstance, t: int, v: int,
                       ) -> Tuple[MonotoneSeq, object]:
     """P[0..t; 0..v]: profit sequence restricted to indices <= t and
     values <= v."""
-    runs = []
-    wcut = t + 1
-    for r in range(boost):
-        run, wcut = _bc_profit_once(instance, t, v, seed.child(r), ids)
-        runs.append(run)
-    seq, tr = combine_boosted(runs, maximize=True)
-    hi = min(t, wcut - 1)
-    if seq.stop <= hi and len(seq):
-        # budget curves stay constant once every item is in; pad so the
-        # reported window matches the full index range
-        pad = np.full(hi + 1 - seq.stop, seq.arr[-1])
-        tr = PadNode(seq.stop, tr)
-        seq = MonotoneSeq(np.concatenate([seq.arr, pad]), seq.start,
-                          seq.direction, seq.sentinel, validate=False)
-    return restrict(seq, (0, hi), (0, v)), tr
-
-
-def _bc_profit_once(instance, t, v, seed, ids):
     w = instance.weights
     p = instance.profits
     idarr = np.arange(instance.n) if ids is None else np.asarray(ids)
@@ -191,53 +175,74 @@ def _bc_profit_once(instance, t, v, seed, ids):
     free = (w == 0) & (p > 0)
     base = int(p[free].sum())
     free_ids = tuple(int(i) for i in idarr[free])
-    if base > v:
-        seq = MonotoneSeq([base], 0, NON_DECREASING, NEG_INF, validate=False)
-        return (seq, ConstItemsNode(free_ids, base)), t + 1
     v_eff = v - base
     # items above the profit bound cannot sit in any reported entry, but
     # the lightest of them ends the restriction window
     heavy_profit = (p > v_eff) & (w <= t) & (w > 0)
-    wcut = int(w[heavy_profit].min()) if heavy_profit.any() else t + 1
+    wcut = int(w[heavy_profit].min()) \
+        if base <= v and heavy_profit.any() else t + 1
     keep = (w <= t) & (p <= v_eff) & (w > 0) & (p > 0)
-    if not keep.any():
-        seq, tr = _zero_profit_curve(min(t, wcut - 1))
-        return _rebase_profit(seq, tr, base, free_ids), wcut
-    run = _bc_profit_pipeline(w[keep], p[keep], idarr[keep], t, v_eff, seed)
-    return _rebase_profit(run[0], run[1], base, free_ids), wcut
+
+    def run(r):
+        if base > v:
+            seq = MonotoneSeq([base], 0, NON_DECREASING, NEG_INF,
+                              validate=False)
+            return Witnessed(seq, ConstItemsNode(free_ids, base), True)
+        if not keep.any():
+            out = _zero_profit_curve(min(t, wcut - 1))
+        else:
+            out = _bc_profit_pipeline(w[keep], p[keep], idarr[keep], t,
+                                      v_eff, seed.child(r))
+        return _rebase_profit(out, base, free_ids)
+
+    boosted, _ = boost_runs(run, boost, maximize=True)
+    seq, tr = boosted
+    hi = min(t, wcut - 1)
+    if seq.stop <= hi and len(seq):
+        # budget curves stay constant once every item is in; pad so the
+        # reported window matches the full index range
+        pad = np.full(hi + 1 - seq.stop, seq.arr[-1])
+        tr = PadNode(seq.stop, tr)
+        seq = MonotoneSeq(np.concatenate([seq.arr, pad]), seq.start,
+                          seq.direction, seq.sentinel, validate=False)
+    return Witnessed(restrict(seq, (0, hi), (0, v)), tr, boosted.exact)
 
 
-def _rebase_profit(seq, tr, base, free_ids):
+def _rebase_profit(run, base, free_ids):
+    seq, tr = run
     if base == 0:
-        return seq, tr
+        return Witnessed(seq, tr, run.exact)
     vals = np.where(_finite(seq.arr), seq.arr + base, seq.arr)
     out = MonotoneSeq(vals, seq.start, seq.direction, seq.sentinel,
                       validate=False)
-    return out, FreeItemsProfitNode(base, free_ids, tr)
+    return Witnessed(out, FreeItemsProfitNode(base, free_ids, tr), run.exact)
 
 
 def _bc_profit_pipeline(w, p, idarr, t, v, seed):
+    """One run; exact when no group color-coded a subgroup."""
     clip = lambda s: _cap_max_curve(s, t, v)
     parts = []
-    exact = []
+    by_dp = []
     for gi, (key, members) in enumerate(_dyadic_groups(w, p)):
         part = _bc_profit_group(w[members], p[members], idarr[members],
                                 key, t, v, seed.child(0, gi))
         if part is None:
-            exact.append(members)
+            by_dp.append(members)
         else:
-            parts.append((clip(part[0]), part[1]))
-    if exact:
-        sel = np.concatenate(exact)
+            parts.append(Witnessed(clip(part[0]), part[1], part.exact))
+    if by_dp:
+        sel = np.concatenate(by_dp)
         seq, tr = profit_dp(w[sel], p[sel], idarr[sel],
                             min(t, int(w[sel].sum())))
-        parts.insert(0, (clip(seq), tr))
-    return _tree_merge(parts, merge_maxplus, clip, seed.child(1))
+        parts.insert(0, Witnessed(clip(seq), tr, True))
+    return Witnessed(*_tree_merge(parts, merge_maxplus, clip, seed.child(1)),
+                     all(part.exact for part in parts))
 
 
 def _bc_profit_group(w, p, ids, key: GroupKey, t, v, seed):
-    """The group's split, color-coded curve, or None when the exact DP
-    over it is the cheaper route (the pipeline folds it into one DP)."""
+    """The group's split curve, or None when the exact DP over it is the
+    cheaper route (the pipeline folds it into one DP).  The split curve
+    is exact when every subgroup is a lone item."""
     z = max(1, min(-(-t // (1 << (key.a - 1))), -(-v // (1 << (key.b - 1)))))
     u = math.ceil(math.log2(z + 1)) + 1
     reps = math.ceil(math.log2(z + 1)) + 3
@@ -247,6 +252,7 @@ def _bc_profit_group(w, p, ids, key: GroupKey, t, v, seed):
         return None
     clip = lambda s: _cap_max_curve(s, t, v)
     subs = []
+    lone = True
     for g in np.unique(assign):
         sel = assign == g
         if sel.sum() == 1:
@@ -255,6 +261,7 @@ def _bc_profit_group(w, p, ids, key: GroupKey, t, v, seed):
                                       min(t, (1 << key.a) * u))
             subs.append((clip(one[0]), one[1]))
             continue
+        lone = False
         ws = _color_coded_profit(w[sel], p[sel], ids[sel], u, reps,
                                  min(t, (1 << key.a) * u),
                                  min(v, (1 << key.b) * u),
@@ -262,23 +269,27 @@ def _bc_profit_group(w, p, ids, key: GroupKey, t, v, seed):
         subs.append(ws)
     if not subs:
         return _zero_profit_curve(min(t, 1))
-    return _tree_merge(subs, merge_maxplus, clip, seed.child(3))
+    return Witnessed(*_tree_merge(subs, merge_maxplus, clip, seed.child(3)),
+                     lone)
 
 
 def _color_coded_profit(w, p, ids, u, reps, idx_cap, val_cap, seed):
     clip = lambda s: _cap_max_curve(s, idx_cap, val_cap)
-    runs = []
-    for r in range(reps):
+
+    def rep(r):
         rng = seed.child(r).generator()
         buckets = rng.integers(0, u * u, len(w))
         parts = []
-        for bkt in np.unique(buckets):
+        keys = np.unique(buckets)
+        for bkt in keys:
             sel = buckets == bkt
             parts.append(_best_single_profit(w[sel], p[sel], ids[sel],
                                              idx_cap))
         merged = _tree_merge(parts, merge_maxplus, clip, seed.child(r, 1))
-        runs.append((clip(merged[0]), merged[1]))
-    return combine_boosted(runs, maximize=True)
+        # one item per bucket: the merge is the subgroup's exact curve
+        return Witnessed(clip(merged[0]), merged[1], len(keys) == len(w))
+
+    return boost_runs(rep, reps, maximize=True)[0]
 
 
 def _best_single_profit(w, p, ids, idx_cap):
@@ -322,10 +333,11 @@ def bc_weight_bounded(instance: KnapsackInstance, v: int, t: int,
                       ) -> Tuple[MonotoneSeq, object]:
     """W[0..v; 0..t]: weight sequence restricted to indices <= v and
     values <= t."""
-    runs = [_bc_weight_once(instance, v, t, seed.child(r), ids)
-            for r in range(boost)]
-    seq, tr = combine_boosted(runs, maximize=False)
-    return restrict(seq, (0, v), (0, t)), tr
+    boosted, _ = boost_runs(
+        lambda r: _bc_weight_once(instance, v, t, seed.child(r), ids),
+        boost, maximize=False)
+    seq, tr = boosted
+    return Witnessed(restrict(seq, (0, v), (0, t)), tr, boosted.exact)
 
 
 def _bc_weight_once(instance, v, t, seed, ids):
@@ -337,45 +349,49 @@ def _bc_weight_once(instance, v, t, seed, ids):
     free_ids = tuple(int(i) for i in idarr[free])
     keep = (w <= t) & (w > 0) & (p > 0)
     if not keep.any() or v - base <= 0:
-        seq, tr = _zero_weight_curve(max(v - base, 0))
-        return _rebase_weight(seq, tr, base, free_ids, v)
-    run = _bc_weight_pipeline(w[keep], p[keep], idarr[keep], v - base, t,
-                              seed)
-    return _rebase_weight(run[0], run[1], base, free_ids, v)
+        run = _zero_weight_curve(max(v - base, 0))
+    else:
+        run = _bc_weight_pipeline(w[keep], p[keep], idarr[keep], v - base,
+                                  t, seed)
+    return _rebase_weight(run, base, free_ids, v)
 
 
-def _rebase_weight(seq, tr, base, free_ids, v):
+def _rebase_weight(run, base, free_ids, v):
+    seq, tr = run
     if base == 0:
-        return seq, tr
+        return Witnessed(seq, tr, run.exact)
     # free profit shifts the index axis right and zero-fills the prefix
     vals = np.concatenate([np.zeros(base + 1, dtype=np.int64), seq.arr[1:]])
     out = MonotoneSeq(vals[:v + 1], 0, NON_DECREASING, INF, validate=False)
-    return out, FreeItemsWeightNode(base, free_ids, tr)
+    return Witnessed(out, FreeItemsWeightNode(base, free_ids, tr), run.exact)
 
 
 def _bc_weight_pipeline(w, p, idarr, v, t, seed):
+    """One run; exact when no group color-coded a subgroup."""
     clip = lambda s: _cap_min_curve(s, v, t)
     p_max = int(p.max())
     parts = []
-    exact = []
+    by_dp = []
     for gi, (key, members) in enumerate(_dyadic_groups(w, p)):
         part = _bc_weight_group(w[members], p[members], idarr[members],
                                 key, v, t, p_max, seed.child(0, gi))
         if part is None:
-            exact.append(members)
+            by_dp.append(members)
         else:
-            parts.append((clip(part[0]), part[1]))
-    if exact:
-        sel = np.concatenate(exact)
+            parts.append(Witnessed(clip(part[0]), part[1], part.exact))
+    if by_dp:
+        sel = np.concatenate(by_dp)
         seq, tr = weight_dp(w[sel], p[sel], idarr[sel],
                             min(v, int(p[sel].sum())))
-        parts.insert(0, (clip(seq), tr))
-    return _tree_merge(parts, merge_minplus, clip, seed.child(1))
+        parts.insert(0, Witnessed(clip(seq), tr, True))
+    return Witnessed(*_tree_merge(parts, merge_minplus, clip, seed.child(1)),
+                     all(part.exact for part in parts))
 
 
 def _bc_weight_group(w, p, ids, key: GroupKey, v, t, p_max, seed):
-    """The group's split, color-coded curve, or None when the exact DP
-    over it is the cheaper route (the pipeline folds it into one DP)."""
+    """The group's split curve, or None when the exact DP over it is the
+    cheaper route (the pipeline folds it into one DP).  The split curve
+    is exact when every subgroup is a lone item."""
     z = max(1, min(-(-t // (1 << key.a)), -(-(v + p_max) // (1 << key.b))))
     u = math.ceil(math.log2(z + 1)) + 1
     reps = math.ceil(math.log2(z + 1)) + 3
@@ -385,6 +401,7 @@ def _bc_weight_group(w, p, ids, key: GroupKey, v, t, p_max, seed):
         return None
     clip = lambda s: _cap_min_curve(s, v, t)
     subs = []
+    lone = True
     for g in np.unique(assign):
         sel = assign == g
         if sel.sum() == 1:
@@ -392,6 +409,7 @@ def _bc_weight_group(w, p, ids, key: GroupKey, v, t, p_max, seed):
                                       min(v, (1 << key.b) * u))
             subs.append((clip(one[0]), one[1]))
             continue
+        lone = False
         ws = _color_coded_weight(w[sel], p[sel], ids[sel], u, reps,
                                  min(v, (1 << key.b) * u),
                                  min(t, (1 << key.a) * u),
@@ -399,23 +417,26 @@ def _bc_weight_group(w, p, ids, key: GroupKey, v, t, p_max, seed):
         subs.append(ws)
     if not subs:
         return _zero_weight_curve(min(v, 1))
-    return _tree_merge(subs, merge_minplus, clip, seed.child(3))
+    return Witnessed(*_tree_merge(subs, merge_minplus, clip, seed.child(3)),
+                     lone)
 
 
 def _color_coded_weight(w, p, ids, u, reps, idx_cap, val_cap, seed):
     clip = lambda s: _cap_min_curve(s, idx_cap, val_cap)
-    runs = []
-    for r in range(reps):
+
+    def rep(r):
         rng = seed.child(r).generator()
         buckets = rng.integers(0, u * u, len(w))
         parts = []
-        for bkt in np.unique(buckets):
+        keys = np.unique(buckets)
+        for bkt in keys:
             sel = buckets == bkt
             parts.append(_best_single_weight(w[sel], p[sel], ids[sel],
                                              idx_cap))
         merged = _tree_merge(parts, merge_minplus, clip, seed.child(r, 1))
-        runs.append((clip(merged[0]), merged[1]))
-    return combine_boosted(runs, maximize=False)
+        return Witnessed(clip(merged[0]), merged[1], len(keys) == len(w))
+
+    return boost_runs(rep, reps, maximize=False)[0]
 
 
 def _best_single_weight(w, p, ids, idx_cap):

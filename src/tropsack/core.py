@@ -170,7 +170,8 @@ class Item:
 class KnapsackInstance:
     """A (multi-)set of items plus a capacity, with cached parameters."""
 
-    __slots__ = ("items", "capacity", "n", "w_max", "p_max", "_weights", "_profits")
+    __slots__ = ("items", "capacity", "n", "w_max", "p_max", "_weights",
+                 "_profits", "_ratio_order")
 
     def __init__(self, items: Sequence[Item], capacity: int):
         if capacity < 0:
@@ -182,6 +183,7 @@ class KnapsackInstance:
         self.p_max = max((it.profit for it in self.items), default=0)
         self._weights = None
         self._profits = None
+        self._ratio_order = None
 
     @property
     def weights(self) -> np.ndarray:
@@ -194,6 +196,23 @@ class KnapsackInstance:
         if self._profits is None:
             self._profits = np.array([it.profit for it in self.items], dtype=np.int64)
         return self._profits
+
+    @property
+    def ratio_order(self) -> tuple:
+        """Item indices by profit-to-weight ratio, non-increasing, ties by
+        index, weight-0 items first.  Exact: p/w is keyed by
+        floor(p * 2^s / w) with 2^s > w_max^2, and two distinct ratios
+        differ by at least 1/w_max^2, so their keys differ."""
+        if self._ratio_order is None:
+            s = 2 * self.w_max.bit_length()
+            top = (self.p_max + 1) << s  # above every finite ratio's key
+            keys = [(it.profit << s) // it.weight if it.weight else top
+                    for it in self.items]
+            # a stable sort keeps equal keys in index order, also reversed
+            self._ratio_order = tuple(sorted(range(self.n),
+                                             key=keys.__getitem__,
+                                             reverse=True))
+        return self._ratio_order
 
     def total_profit(self) -> int:
         return int(sum(it.profit for it in self.items))

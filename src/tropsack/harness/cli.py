@@ -76,7 +76,7 @@ def cmd_solve(args) -> int:
     out = {"algo": rep.algo, "n": inst.n, "t": inst.capacity,
            "w_max": inst.w_max, "p_max": inst.p_max, "opt": rep.opt,
            "millis": round(ms, 3), "seed": args.seed, "verdict": verdict,
-           "items": sorted(rep.solution.indices)}
+           "items": sorted(rep.solution.indices), "meta": rep.meta}
     if args.json:
         print(json.dumps(out))
     else:

@@ -25,6 +25,32 @@ def _delta(ell: int, scale: int, n: int) -> int:
     return ell + math.ceil(4.0 * math.sqrt(max(scale, 0) * logterm))
 
 
+class Witnessed(tuple):
+    """A ``(seq, trace)`` pair that also says whether ``seq`` is exact:
+    the curve that every run of the same computation would reach.  Monte
+    Carlo runs stay entrywise at or below (max-plus) or above (min-plus)
+    that curve, so once a run is exact, later runs cannot win an entry.
+    """
+
+    def __new__(cls, seq, trace, exact: bool = False):
+        pair = super().__new__(cls, (seq, trace))
+        pair.exact = exact
+        return pair
+
+
+def boost_runs(run, boost: int, maximize: bool):
+    """Combine ``run(0)``, ``run(1)``, ... (each a :class:`Witnessed`) by
+    :func:`combine_boosted`, stopping after the first exact run or after
+    ``boost`` runs.  Returns the combined Witnessed and the runs made."""
+    runs = []
+    for r in range(boost):
+        runs.append(run(r))
+        if runs[-1].exact:
+            break
+    seq, tr = combine_boosted(runs, maximize)
+    return Witnessed(seq, tr, runs[-1].exact), len(runs)
+
+
 def combine_boosted(runs, maximize: bool):
     """Combine (seq, trace) runs by entrywise max (min) over the union
     window.  Max-plus runs are budget curves, constant once their items
@@ -55,11 +81,10 @@ def banded_profit_window(instance: KnapsackInstance, t: int, ell: int,
     if instance.n == 0:
         seq = MonotoneSeq(np.zeros(hi_out - lo_out + 1, dtype=np.int64),
                           lo_out, NON_DECREASING, NEG_INF, validate=False)
-        return seq, EmptySetNode()
-    runs = []
-    for r in range(boost):
-        runs.append(_banded_profit_once(instance, t, ell, seed.child(r), ids))
-    return combine_boosted(runs, maximize=True)
+        return Witnessed(seq, EmptySetNode(), True)
+    return boost_runs(
+        lambda r: _banded_profit_once(instance, t, ell, seed.child(r), ids),
+        boost, maximize=True)[0]
 
 
 def _banded_profit_once(instance, t, ell, seed, ids):
@@ -75,12 +100,18 @@ def _banded_profit_once(instance, t, ell, seed, ids):
     prev = np.full(1, 0, dtype=np.int64)  # row 0: only index 0 = 0
     prev_lo = 0
     taken_rows = []
+    reach = 0  # the heaviest weight row r can reach
+    exact = True
     for r in range(1, n + 1):
         c = (r * t) // n
         lo = max(0, c - delta)
         hi = min(c + delta, hi_cap)
         pos = int(sigma[r - 1])
         wi, pi = int(w[pos]), int(p[pos])
+        reach += wi
+        # a band holding every reachable index up to the cap is the
+        # exact DP's row
+        exact = exact and lo == 0 and hi >= min(reach, hi_cap)
         stay = _read_band(prev, prev_lo, lo, hi, -INT_INF)
         take = _saturate(_read_band(prev, prev_lo, lo - wi, hi - wi,
                                     -INT_INF) + pi)
@@ -105,7 +136,7 @@ def _banded_profit_once(instance, t, ell, seed, ids):
                       pre_final,
                       tuple(int(i) for i in idarr) if all_applied else None,
                       p_all if all_applied else None)
-    return seq, node
+    return Witnessed(seq, node, exact)
 
 
 def banded_weight_window(instance: KnapsackInstance, v: int, ell: int,
@@ -120,11 +151,10 @@ def banded_weight_window(instance: KnapsackInstance, v: int, ell: int,
         if lo_out == 0:
             vals[0] = 0
         seq = MonotoneSeq(vals, lo_out, NON_DECREASING, INF, validate=False)
-        return seq, EmptySetNode()
-    runs = []
-    for r in range(boost):
-        runs.append(_banded_weight_once(instance, v, ell, seed.child(r), ids))
-    return combine_boosted(runs, maximize=False)
+        return Witnessed(seq, EmptySetNode(), True)
+    return boost_runs(
+        lambda r: _banded_weight_once(instance, v, ell, seed.child(r), ids),
+        boost, maximize=False)[0]
 
 
 def _banded_weight_once(instance, v, ell, seed, ids):
@@ -139,6 +169,8 @@ def _banded_weight_once(instance, v, ell, seed, ids):
     prev = np.zeros(1, dtype=np.int64)
     prev_lo = 0
     taken_rows = []
+    reach = 0  # the largest profit row r can reach
+    exact = True
     for r in range(1, n + 1):
         c = (r * v) // n
         lo = max(0, c - delta)
@@ -147,6 +179,8 @@ def _banded_weight_once(instance, v, ell, seed, ids):
         hi = c + delta
         pos = int(sigma[r - 1])
         wi, pi = int(w[pos]), int(p[pos])
+        reach += pi
+        exact = exact and lo == 0 and hi >= reach
         stay = _read_band(prev, prev_lo, lo, hi, INT_INF)
         take = _saturate(_read_band(prev, prev_lo, lo - pi, hi - pi,
                                     INT_INF) + wi)
@@ -164,4 +198,4 @@ def _banded_weight_once(instance, v, ell, seed, ids):
     seq = MonotoneSeq(vals, lo_out, NON_DECREASING, INF, validate=False)
     node = BandDPNode("weight", sigma, w, p, idarr, band_lo, taken_rows,
                       pre_final)
-    return seq, node
+    return Witnessed(seq, node, exact)

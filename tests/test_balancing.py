@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropsack import INF, Item, KnapsackInstance, SeedCtx
 from tropsack.balancing import (balance_reduce, bad_curve, combine_balanced,
                                 good_complement_curve, kept_good_curve,
                                 max_prefix_partition)
 from tropsack.bellman import bellman_profit_dp
-from tropsack.core import normalize
+from tropsack.core import VALUE_LIMIT, normalize
 from tropsack.harness.generators import gen_random_instance
 from tropsack.harness.oracle import all_optimal_solutions, brute_force_opt
 from tropsack.solve import _medium_bellman_window
@@ -48,6 +49,66 @@ class TestPartition:
             assert not (set(part.bad) & prefix)
             assert set(part.good) | set(part.medium) | set(part.bad) == \
                 set(range(res.instance.n))
+
+
+def ref_greedy_order(instance):
+    """Fraction-keyed reference: ratio order, weight-0 items first, ties
+    by index."""
+    def key(i):
+        it = instance.items[i]
+        if it.weight == 0:
+            return (0, 0, i)
+        return (1, -Fraction(it.profit, it.weight), i)
+    return sorted(range(instance.n), key=key)
+
+
+def ref_partition(instance):
+    """Fraction reference for max_prefix_partition's prefix and classes."""
+    order = ref_greedy_order(instance)
+    total, prefix = 0, []
+    for i in order:
+        if total + instance.items[i].weight > instance.capacity:
+            break
+        total += instance.items[i].weight
+        prefix.append(i)
+    if not prefix:
+        return tuple(order), (), None, (), (), ()
+    last = instance.items[prefix[-1]]
+    rho = Fraction(last.profit, max(last.weight, 1))
+    classes = ([], [], [])
+    for i, it in enumerate(instance.items):
+        ratio = None if it.weight == 0 else Fraction(it.profit, it.weight)
+        cls = 0 if ratio is None or ratio > 2 * rho else \
+            2 if ratio < rho / 2 else 1
+        classes[cls].append(i)
+    return (tuple(order), tuple(prefix), rho) + tuple(map(tuple, classes))
+
+
+# small parameters make equal ratios common; near-limit ones test the
+# exactness of the integer keys
+SIZES = st.one_of(st.integers(1, 6), st.integers(VALUE_LIMIT - 9,
+                                                  VALUE_LIMIT - 1))
+ITEMS = st.lists(st.one_of(
+    st.builds(Item, SIZES, SIZES),
+    st.builds(lambda p: Item(0, p, internal=True), SIZES),
+    st.builds(lambda w: Item(w, 0, internal=True), SIZES)), max_size=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(items=ITEMS, dup=st.integers(0, 3),
+       capacity=st.one_of(st.integers(0, 20), SIZES))
+def test_ratio_order_and_classes_match_fraction_reference(items, dup,
+                                                          capacity):
+    inst = KnapsackInstance(items + items[:dup], capacity)
+    assert list(inst.ratio_order) == ref_greedy_order(inst)
+    want = ref_partition(inst)
+    if inst.n and not want[1]:
+        with pytest.raises(AssertionError):
+            max_prefix_partition(inst)
+        return
+    part = max_prefix_partition(inst)
+    assert (part.order, part.prefix, part.rho, part.good, part.medium,
+            part.bad) == want
 
 
 class TestCurves:

@@ -374,3 +374,167 @@ def test_best_single_curves_match_loop_reference(items, idx_cap):
         vals, wit = ref(w.tolist(), p.tolist(), ids.tolist(), idx_cap)
         assert seq.start == 0 and seq.values == vals
         assert node.witness.tolist() == wit
+
+
+# ---------------------------------------------------------------------------
+# Exact runs: boosting stops at the first one, and only there
+
+
+def record_runs(monkeypatch, direction):
+    """Wrap the bounded pipeline and color coding: one [exact, coded]
+    record per run, where ``coded`` says the run color-coded a subgroup."""
+    runs = []
+    pipeline = getattr(bounded, f"_bc_{direction}_pipeline")
+    coded = getattr(bounded, f"_color_coded_{direction}")
+
+    def recording_pipeline(*args):
+        runs.append([None, False])
+        out = pipeline(*args)
+        runs[-1][0] = out.exact
+        return out
+
+    def recording_coded(*args):
+        runs[-1][1] = True
+        return coded(*args)
+
+    monkeypatch.setattr(bounded, f"_bc_{direction}_pipeline",
+                        recording_pipeline)
+    monkeypatch.setattr(bounded, f"_color_coded_{direction}",
+                        recording_coded)
+    return runs
+
+
+def made_runs(flags, boost):
+    """Runs a boosting loop makes: up to the first exact one, or all."""
+    return flags.index(True) + 1 if True in flags else boost
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("direction", ["profit", "weight"])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_only_runs_without_color_coding_are_exact(kind, direction, data):
+    with pytest.MonkeyPatch.context() as mp:
+        runs = record_runs(mp, direction)
+        heavy, solo = (data.draw(s) for s in KINDS[kind])
+        inst = route_instance(heavy, sorted(solo),
+                              data.draw(st.integers(0, 2 ** 32)))
+        t = data.draw(st.integers(31, 48))
+        v = data.draw(st.integers(31, 48))
+        seed = SeedCtx(data.draw(st.integers(0, 2 ** 32)))
+        boost = boost_for(inst.n)
+        if direction == "profit":
+            res = bc_profit_bounded(inst, t, v, seed, boost=boost)
+        else:
+            res = bc_weight_bounded(inst, v, t, seed, boost=boost)
+    assert [exact for exact, _ in runs] == [not c for _, c in runs]
+    assert len(runs) == made_runs([exact for exact, _ in runs], boost)
+    assert res.exact == runs[-1][0]
+    if kind == "dp":
+        assert len(runs) == 1 and res.exact
+    if kind == "split":
+        assert len(runs) == boost > 1 and not res.exact
+
+
+def band_clipped(node, cap):
+    """Whether some row's band misses an index that row can reach (up to
+    ``cap``), read back from a banded run's trace."""
+    sizes = node.weights if node.kind == "profit" else node.profits
+    reach = np.cumsum(sizes[node.order])
+    lo = node.band_lo[1:]
+    hi = lo + np.array([len(row) for row in node.taken]) - 1
+    return bool((lo > 0).any() or (hi < np.minimum(reach, cap)).any())
+
+
+def banded_cases():
+    """Small-capacity instances, whose bands cover every row, and long
+    light ones, whose bands are clipped."""
+    rng = np.random.default_rng(12)
+    for trial in range(16):
+        if trial % 2:
+            inst = gen_random_instance(int(rng.integers(600, 900)), 3, 3,
+                                       10 ** 6, SeedCtx(trial))
+            t = int(rng.integers(900, 1100))
+            yield inst, t, int(rng.integers(2, 30))
+        else:
+            n = int(rng.integers(1, 30))
+            t = int(rng.integers(4, 40))
+            inst = gen_random_instance(n, 9, 9, 10 ** 6, SeedCtx(trial))
+            yield inst, t, int(rng.integers(2, t + 1))
+
+
+@pytest.mark.parametrize("direction", ["profit", "weight"])
+def test_only_unclipped_band_runs_are_exact(monkeypatch, direction):
+    import tropsack.windowed as windowed
+    once = getattr(windowed, f"_banded_{direction}_once")
+    runs = []
+
+    def recording_once(*args):
+        out = once(*args)
+        runs.append(out)
+        return out
+
+    monkeypatch.setattr(windowed, f"_banded_{direction}_once", recording_once)
+    seen = set()
+    for inst, t, ell in banded_cases():
+        runs.clear()
+        if direction == "profit":
+            res = banded_profit_window(inst, t, ell, SeedCtx(t), boost=6)
+            cap = t + ell
+        else:
+            res = banded_weight_window(inst, t, ell, SeedCtx(t), boost=6)
+            cap = np.inf
+        flags = [run.exact for run in runs]
+        assert flags == [not band_clipped(run[1], cap) for run in runs]
+        assert len(runs) == made_runs(flags, 6) and res.exact == flags[-1]
+        seen.add(len(runs))
+    assert seen == {1, 6}
+
+
+def never_exact(monkeypatch):
+    import tropsack.windowed as windowed
+    monkeypatch.setattr(windowed.Witnessed, "exact",
+                        property(lambda self: False, lambda self, v: None),
+                        raising=False)
+
+
+def curve_and_witnesses(res):
+    """A boosted curve's window, values and the items behind each finite
+    entry."""
+    seq, tr = res
+    wits = [reconstruct_items(tr, k, seq[k]) for k in seq.indices()
+            if seq[k] not in (INF, -INF)]
+    return seq.start, seq.values, wits
+
+
+def short_circuit_cases():
+    rng = np.random.default_rng(13)
+    for trial in range(12):
+        heavy = (0, 100, 0, 120)[trial % 4]
+        solo = [(1, 2), (3, 1), (4, 4)] if trial % 4 > 1 else []
+        inst = route_instance(heavy, solo or [(2, 2)], trial)
+        yield inst, int(rng.integers(31, 49)), int(rng.integers(31, 49))
+    for inst, t, ell in banded_cases():
+        if inst.n < 100:
+            yield inst, t, ell
+
+
+def test_short_circuit_keeps_curves_and_witnesses(monkeypatch):
+    def outputs():
+        out = []
+        for inst, t, v in short_circuit_cases():
+            boost = boost_for(inst.n)
+            out.append(curve_and_witnesses(
+                bc_profit_bounded(inst, t, v, SeedCtx(t), boost=boost)))
+            out.append(curve_and_witnesses(
+                bc_weight_bounded(inst, v, t, SeedCtx(v), boost=boost)))
+            ell = min(v, t) // 2
+            out.append(curve_and_witnesses(
+                banded_profit_window(inst, t, ell, SeedCtx(t), boost=boost)))
+            out.append(curve_and_witnesses(
+                banded_weight_window(inst, v, ell, SeedCtx(v), boost=boost)))
+        return out
+
+    default = outputs()
+    never_exact(monkeypatch)
+    assert outputs() == default

@@ -192,6 +192,17 @@ class TestCli:
                          "--oracle-check", "--json"]) == 0
         assert cli_main(["check", str(path), "--seed", "3"]) == 0
 
+    def test_solve_json_reports_runs_and_q(self, tmp_path, capsys):
+        path = tmp_path / "inst.txt"
+        assert cli_main(["gen", "--n", "60", "--wmax", "20", "--pmax", "30",
+                         "--balanced", "--seed", "4", "-o", str(path)]) == 0
+        assert cli_main(["solve", str(path), "--algo", "t_sqrt_p",
+                         "--json"]) == 0
+        meta = json.loads(capsys.readouterr().out)["meta"]
+        assert meta["algo"] == "t_sqrt_p"
+        assert 1 <= meta["runs"] <= meta["reps"]
+        assert 0 <= meta["q_ran"] <= meta["q"]
+
     def test_usage_error_exit_code(self):
         assert cli_main(["solve", "/nonexistent/file"]) == 2
 

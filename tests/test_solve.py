@@ -112,3 +112,20 @@ class TestSolve:
                 for algo in algos:
                     rep = solve(inst, algo=algo, seed=SeedCtx(3 * n))
                     assert rep.opt == want, (n, build.__name__, algo)
+
+
+def test_meta_reports_runs_and_collapsed_q():
+    # the balanced n = 600 instance on which the unnarrowed q = 2 tree
+    # cost ~41 full-length merges: it runs as one exact leaf
+    rng = np.random.default_rng([99, 600, 150, 300])
+    w = rng.integers(1, 151, 600)
+    f = rng.uniform(0.5, 2, 600)
+    p = np.clip(np.rint(f * 2 * w), 1, 300)
+    inst = KnapsackInstance([Item(int(a), int(b)) for a, b in zip(w, p)],
+                            int(w.sum()) // 2)
+    rep = solve(inst, algo="t_sqrt_p", seed=SeedCtx(1))
+    assert rep.opt == oracle_opt(inst)
+    assert rep.solution.total_profit == rep.opt
+    assert rep.solution.total_weight <= inst.capacity
+    assert (rep.meta["q"], rep.meta["q_ran"]) == (2, 0)
+    assert (rep.meta["reps"], rep.meta["runs"]) == (13, 1)

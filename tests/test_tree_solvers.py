@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+
+import tropsack.windowed as windowed
 
 from tropsack import Item, KnapsackInstance, SeedCtx
 from tropsack.balanced import (ImbalanceError, make_plan,
@@ -10,8 +14,11 @@ from tropsack.balanced import (ImbalanceError, make_plan,
 from tropsack.bellman import bellman_profit_dp, bellman_weight_dp, \
     greedy_upper_bound
 from tropsack.core import normalize, restrict
-from tropsack.harness.generators import gen_balanced_instance
+from tropsack.harness.generators import gen_balanced_instance, \
+    gen_random_instance
 from tropsack.harness.oracle import brute_force_opt
+from tropsack.solve import solve
+from tropsack.trace import reconstruct_items
 
 SOLVERS = [("t_sqrt_p", solve_balanced_tsqrtp),
            ("cuberoot", solve_balanced_cuberoot),
@@ -126,3 +133,54 @@ class TestBoostingInvariance:
                 ga, gb = a.opt_at(inst.capacity), b.opt_at(inst.capacity)
                 assert ga is not None and gb is not None
                 assert ga[0] == gb[0], (name, i)
+
+
+class TestExactRuns:
+    def test_unnarrowed_plan_collapses_to_one_leaf(self):
+        for i, inst in enumerate(corpus(6, seed0=21)):
+            for name, solver in SOLVERS:
+                res = solver(inst, SeedCtx(i))
+                plan = make_plan(inst, greedy_upper_bound(inst),
+                                 q=res.meta["q"])
+                assert res.meta["q_ran"] == plan.collapsed().q == 0
+                assert 1 <= res.meta["runs"] <= res.meta["reps"]
+                got = res.opt_at(inst.capacity)
+                want = bellman_profit_dp(inst, inst.capacity)[0]
+                assert got[0] == want[inst.capacity], (name, i)
+
+    def test_narrowing_plan_keeps_its_tree(self):
+        inst = corpus(1, seed0=21)[0]
+        plan = make_plan(inst, greedy_upper_bound(inst), q=1)
+        narrow = replace(plan, eta=1)
+        assert narrow.weight_window(1) != (0, narrow.cap_w)
+        assert narrow.collapsed() == narrow
+
+    def test_short_circuit_keeps_windows_and_witnesses(self, monkeypatch):
+        insts = corpus(4, seed0=41)
+        rng = np.random.default_rng(41)
+        small = [gen_random_instance(int(rng.integers(20, 60)), 25, 30,
+                                     int(rng.integers(100, 600)),
+                                     SeedCtx(k)) for k in range(6)]
+
+        def outputs():
+            out = []
+            for i, inst in enumerate(insts):
+                for name, solver in SOLVERS:
+                    res = solver(inst, SeedCtx(i))
+                    seq = res.seq
+                    out.append((res.kind, seq.start, seq.values,
+                                [reconstruct_items(res.trace, k, seq[k])
+                                 for k in seq.indices()]))
+            for i, inst in enumerate(small):
+                for algo in ("t_sqrt_p", "opt_sqrt_w", "cuberoot",
+                             "cuberoot_sym"):
+                    rep = solve(inst, algo=algo, seed=SeedCtx(i))
+                    out.append((rep.opt, sorted(rep.solution.indices),
+                                rep.meta.get("medium_fallback")))
+            return out
+
+        default = outputs()
+        monkeypatch.setattr(windowed.Witnessed, "exact",
+                            property(lambda self: False,
+                                     lambda self, v: None), raising=False)
+        assert outputs() == default
